@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"gauntlet/internal/smt"
@@ -538,18 +537,16 @@ func (b *Blaster) Assert(t *smt.Term) {
 }
 
 // Model extracts the assignment of all blasted input variables after Sat.
-func (b *Blaster) Model() smt.Assignment {
-	m := smt.Assignment{}
-	names := make([]string, 0, len(b.vars))
-	for n := range b.vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		lits := b.vars[n]
+func (b *Blaster) Model() smt.Assignment { return b.modelOf(b.sat.assign) }
+
+// modelOf extracts the input assignment from a copy of the SAT solver's
+// per-variable values.
+func (b *Blaster) modelOf(assign []int8) smt.Assignment {
+	m := make(smt.Assignment, len(b.vars))
+	for n, lits := range b.vars {
 		var v uint64
 		for i, l := range lits {
-			bit := b.sat.ValueOf(l.Var())
+			bit := assign[l.Var()] == 1
 			if l < 0 {
 				bit = !bit
 			}

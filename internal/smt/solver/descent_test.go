@@ -1,0 +1,158 @@
+package solver
+
+import (
+	"maps"
+	"slices"
+	"testing"
+	"time"
+
+	"gauntlet/internal/smt"
+)
+
+// descentFormula blasts a formula shaped like test generation's: packet
+// fields through a few arithmetic stages, parser-style base constraints,
+// branch conditions and preference literals (non-zero, upper half of the
+// range). It returns the session with the condition and preference
+// literals; nothing has been solved yet.
+func descentFormula() (sess *Session, conds, prefs []Lit) {
+	k := smt.Const
+	a, b := smt.Var("pkt.a", 32), smt.Var("pkt.b", 32)
+	c, d := smt.Var("pkt.c", 16), smt.Var("pkt.d", 16)
+	e, f := smt.Var("pkt.e", 8), smt.Var("pkt.f", 8)
+	sess = NewSession(0)
+	sess.Assert(smt.Ne(e, k(0xff, 8)), smt.Ult(c, k(0x9000, 16)))
+	for _, cond := range []*smt.Term{
+		smt.Eq(smt.Add(a, b), k(0x12345678, 32)),
+		smt.Ult(smt.Mul(c, k(3, 16)), d),
+		smt.Eq(smt.Extract(a, 7, 0), e),
+		smt.Ult(smt.BVXor(b, smt.Concat(c, d)), a),
+		smt.Eq(smt.BVAnd(f, k(0x0f, 8)), k(3, 8)),
+		smt.Ule(smt.Add(smt.Concat(e, f), c), d),
+		smt.Ne(smt.Mul(e, f), k(0x42, 8)),
+		smt.Ult(smt.Extract(b, 31, 16), smt.Add(c, d)),
+		smt.Eq(smt.Extract(smt.Mul(a, k(5, 32)), 15, 0), d),
+		smt.Ule(f, e),
+	} {
+		conds = append(conds, sess.Lit(cond))
+	}
+	for _, x := range []*smt.Term{a, b, c, d, e, f} {
+		prefs = append(prefs,
+			sess.Lit(smt.Ne(x, k(0, x.W))),
+			sess.Lit(smt.Uge(x, k(1<<uint(x.W-1), x.W))))
+	}
+	return sess, conds, prefs
+}
+
+// descent enumerates branch polarities depth-first the way test
+// generation enumerates paths: it probes each polarity under the prefix
+// fixed so far, descends into the satisfiable ones and, at a leaf,
+// greedily keeps each preference literal that stays satisfiable. It stops
+// after maxCalls solves and returns the number made. solve must not keep
+// its argument.
+func descent(solve func(assumps []Lit) Status, conds, prefs []Lit, maxCalls int) int {
+	calls := 0
+	call := func(assumps []Lit) Status {
+		calls++
+		return solve(assumps)
+	}
+	var walk func(idx int, fixed []Lit)
+	walk = func(idx int, fixed []Lit) {
+		if idx == len(conds) {
+			if calls >= maxCalls || call(fixed) != Sat {
+				return
+			}
+			kept := slices.Clone(fixed)
+			for _, p := range prefs {
+				if calls >= maxCalls {
+					return
+				}
+				if call(append(kept, p)) == Sat {
+					kept = append(kept, p)
+				}
+			}
+			return
+		}
+		for _, l := range []Lit{conds[idx], conds[idx].Neg()} {
+			if calls >= maxCalls {
+				return
+			}
+			next := append(slices.Clone(fixed), l)
+			if call(next) == Sat {
+				walk(idx+1, next)
+			}
+		}
+	}
+	walk(0, nil)
+	return calls
+}
+
+// descentScript replays descentFormula's CNF and maxCalls descent solves
+// as a trajectory script. The root-level units go first, then the
+// clauses, and the solves follow the verdicts SAT gives.
+func descentScript(maxCalls int) []step {
+	sess, conds, prefs := descentFormula()
+	sat := sess.b.SAT()
+	steps := newVars(sat.NumVars())
+	for _, l := range sat.trail {
+		steps = append(steps, clauseStep(l))
+	}
+	for _, cl := range sat.clauses {
+		steps = append(steps, clauseStep(slices.Clone(cl)...))
+	}
+	descent(func(assumps []Lit) Status {
+		steps = append(steps, solveStep(0, slices.Clone(assumps)...))
+		return sat.SolveAssuming(assumps...)
+	}, conds, prefs, maxCalls)
+	return steps
+}
+
+// TestSolveAssumingSoftModel checks that SolveAssumingSoft, which builds
+// one model from the last satisfiable trial, returns what building a
+// model after every trial would: the same status, conflicts and model.
+func TestSolveAssumingSoftModel(t *testing.T) {
+	got, conds, prefs := descentFormula()
+	want, _, _ := descentFormula()
+	groups := make([][]Lit, len(prefs))
+	for i, p := range prefs {
+		groups[i] = []Lit{p}
+	}
+	for i := range conds {
+		fixed := []Lit{conds[i], conds[(i+3)%len(conds)].Neg()}
+		res := want.SolveAssuming(fixed...)
+		if res.Status == Sat {
+			kept := slices.Clone(fixed)
+			for _, g := range groups {
+				trial := want.SolveAssuming(append(kept, g...)...)
+				res.Conflicts += trial.Conflicts
+				if trial.Status == Sat {
+					kept = append(kept, g...)
+					res.Model = trial.Model
+				}
+			}
+		}
+		soft := got.SolveAssumingSoft(fixed, groups)
+		if soft.Status != res.Status || soft.Conflicts != res.Conflicts || !maps.Equal(soft.Model, res.Model) {
+			t.Fatalf("fixed %v: SolveAssumingSoft = %+v, per-trial models give %+v", fixed, soft, res)
+		}
+	}
+}
+
+// BenchmarkSolveAssumingDescent measures the solver as test generation
+// drives it: one blasted formula, then about 200 SolveAssuming calls under
+// assumptions that descend a path tree, each Sat one extracting a model.
+// It reports ns/call over the solves alone; blasting is excluded.
+func BenchmarkSolveAssumingDescent(b *testing.B) {
+	const maxCalls = 200
+	var solving time.Duration
+	calls := 0
+	for b.Loop() {
+		sess, conds, prefs := descentFormula()
+		start := time.Now()
+		calls += descent(func(assumps []Lit) Status {
+			return sess.SolveAssuming(assumps...).Status
+		}, conds, prefs, maxCalls)
+		solving += time.Since(start)
+	}
+	b.ReportMetric(float64(solving.Nanoseconds())/float64(calls), "ns/call")
+	b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
+}

@@ -3,9 +3,37 @@
 // activities, Luby restarts, phase saving) and a Tseitin bit-blaster that
 // reduces QF_BV terms to CNF over it. Together they replace the Z3 calls
 // of the paper's implementation.
+//
+// The CDCL search follows a fixed trajectory. Test generation's packets
+// are SAT models, so every decision, propagation, learnt clause, conflict
+// count and model the solver produces reaches the test suites, the
+// findings and their digests. A change to the solver may make a step
+// cheaper, but it must not change which step comes next; the trajectory
+// tests run the solver against a verbatim copy of the original
+// linear-scan solver and require identical state after every call. That
+// contract rules out the usual search-altering optimizations:
+//
+//   - blocking literals skip a clause without the watch swap, which changes
+//     the clause's literal order and so later watches and learnt clauses;
+//   - learnt-clause deletion changes which clauses propagate;
+//   - reordering a clause's literals or a watch list changes which
+//     implication is found first, and so each variable's reason;
+//   - trail reuse across restarts re-creates assignments in a different
+//     propagation order, with different reasons.
+//
+// What the solver does instead is cost-only. Decisions follow the order
+// (activity descending, index ascending), which ranks first exactly the
+// variable a linear scan for the strictly greatest activity picks. A
+// cursor walks that order over a sorted array while no activity changes,
+// as in test generation's conflict-free calls; from a call's first
+// conflict on, a binary heap keeps it. Watch lists are compacted in place,
+// in order, during propagation.
 package solver
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Lit is a literal: positive v or negative -v for variable v >= 1.
 type Lit int
@@ -70,6 +98,22 @@ type SAT struct {
 	qhead    int
 	unsat    bool // a top-level conflict was added
 
+	// Decisions follow the order before defines, kept in one of two
+	// forms. While no activity has changed since ranked was sorted, which
+	// holds for nearly every call test generation makes, decide walks
+	// ranked with a cursor: every variable in ranked[:cursor] is assigned,
+	// so the first unassigned one from there on is the pick, and a whole
+	// call costs one pass. A call's first bump moves the unassigned
+	// variables into order, a binary heap that follows activity changes;
+	// assigned variables leave it lazily, when decide pops them. The next
+	// call sorts ranked again.
+	ranked   []int // every variable in decision order, unless unranked
+	rankOf   []int // var → index in ranked
+	cursor   int
+	unranked bool  // activities changed since ranked was sorted
+	order    []int // the heap while unranked, else empty
+	orderPos []int // var → index in order, or -1
+
 	// Conflicts counts total conflicts across all Solve calls
 	// (statistics and restart policy).
 	Conflicts int
@@ -93,6 +137,12 @@ type SAT struct {
 	assumps []Lit
 
 	seen []bool // scratch for analyze
+
+	// stamp marks, by literal index, the literals AddClause has kept for
+	// the clause numbered stampGen, so simplifying a clause allocates
+	// nothing beyond the clause itself.
+	stamp    []uint32
+	stampGen uint32
 }
 
 // NewVar allocates a fresh variable and returns its (positive) index.
@@ -106,6 +156,9 @@ func (s *SAT) NewVar() int {
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
 		s.watches = append(s.watches, nil, nil)
+		s.orderPos = append(s.orderPos, -1)
+		s.rankOf = append(s.rankOf, 0)
+		s.stamp = append(s.stamp, 0, 0)
 	}
 	s.nVars++
 	s.assign = append(s.assign, unassigned)
@@ -115,6 +168,16 @@ func (s *SAT) NewVar() int {
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
 	s.watches = append(s.watches, nil, nil)
+	s.orderPos = append(s.orderPos, -1)
+	s.rankOf = append(s.rankOf, len(s.ranked))
+	s.stamp = append(s.stamp, 0, 0)
+	if s.unranked {
+		s.orderPush(s.nVars)
+	} else {
+		// Activities are never negative, so activity 0 and the highest
+		// index come last.
+		s.ranked = append(s.ranked, s.nVars)
+	}
 	return s.nVars
 }
 
@@ -140,17 +203,21 @@ func (s *SAT) AddClause(lits ...Lit) {
 	if s.decisionLevel() > 0 {
 		s.backtrack(0)
 	}
+	s.stampGen++
+	if s.stampGen == 0 { // wrapped: no stale mark may equal a live one
+		clear(s.stamp)
+		s.stampGen = 1
+	}
 	// Simplify: drop duplicate/false literals, detect tautologies.
 	var cl []Lit
-	seen := map[Lit]bool{}
 	for _, l := range lits {
 		if l.Var() > s.nVars || l == 0 {
 			panic(fmt.Sprintf("sat: bad literal %d", l))
 		}
-		if seen[l] {
+		if s.stamp[l.index()] == s.stampGen {
 			continue
 		}
-		if seen[l.Neg()] {
+		if s.stamp[l.Neg().index()] == s.stampGen {
 			return // tautology
 		}
 		// Top-level values.
@@ -162,7 +229,7 @@ func (s *SAT) AddClause(lits ...Lit) {
 				continue // already false at top level
 			}
 		}
-		seen[l] = true
+		s.stamp[l.index()] = s.stampGen
 		cl = append(cl, l)
 	}
 	switch len(cl) {
@@ -210,16 +277,19 @@ func (s *SAT) enqueue(l Lit, reason int) bool {
 func (s *SAT) decisionLevel() int { return len(s.trailLim) }
 
 // propagate performs unit propagation; returns the index of a conflicting
-// clause or -1.
+// clause or -1. Each watch list is compacted in place, keeping its order:
+// a clause that moves its watch is appended to the new literal's list,
+// which is never the list being scanned (the new watch is not false).
 func (s *SAT) propagate() int {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		falseLit := p.Neg()
-		ws := s.watches[falseLit.index()]
-		var kept []int
-		for wi := 0; wi < len(ws); wi++ {
-			ci := ws[wi]
+		wi := falseLit.index()
+		ws := s.watches[wi]
+		kept := 0
+	next:
+		for i, ci := range ws {
 			cl := s.clauses[ci]
 			// Ensure the false literal is at cl[1].
 			if cl[0] == falseLit {
@@ -227,43 +297,50 @@ func (s *SAT) propagate() int {
 			}
 			// Satisfied by the other watch?
 			if s.value(cl[0]) == 1 {
-				kept = append(kept, ci)
+				ws[kept] = ci
+				kept++
 				continue
 			}
 			// Find a new literal to watch.
-			moved := false
 			for k := 2; k < len(cl); k++ {
 				if s.value(cl[k]) != 0 {
 					cl[1], cl[k] = cl[k], cl[1]
 					s.watches[cl[1].index()] = append(s.watches[cl[1].index()], ci)
-					moved = true
-					break
+					continue next
 				}
 			}
-			if moved {
-				continue
-			}
 			// Unit or conflict.
-			kept = append(kept, ci)
+			ws[kept] = ci
+			kept++
 			if !s.enqueue(cl[0], ci) {
-				// Conflict: restore remaining watches and report.
-				kept = append(kept, ws[wi+1:]...)
-				s.watches[falseLit.index()] = kept
+				// Conflict: keep the unvisited watches and report.
+				kept += copy(ws[kept:], ws[i+1:])
+				s.watches[wi] = ws[:kept]
 				return ci
 			}
 		}
-		s.watches[falseLit.index()] = kept
+		s.watches[wi] = ws[:kept]
 	}
 	return -1
 }
 
 func (s *SAT) bumpVar(v int) {
+	if !s.unranked {
+		s.unrank()
+	}
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
 		for i := 1; i <= s.nVars; i++ {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling keeps activities in order but can round distinct
+		// ones into ties, which the index then breaks: re-heapify.
+		s.orderRebuild()
+		return
+	}
+	if i := s.orderPos[v]; i >= 0 {
+		s.orderUp(i)
 	}
 }
 
@@ -332,36 +409,175 @@ func (s *SAT) analyze(conflict int) ([]Lit, int) {
 	return learnt, blevel
 }
 
+// backtrack retracts every level above the given one. Retracted variables
+// move the cursor back to them, or re-enter the heap in forward trail
+// order; the heap pops the same variables whatever the insertion order,
+// since before is a strict total order.
 func (s *SAT) backtrack(level int) {
 	if s.decisionLevel() <= level {
 		return
 	}
-	for i := len(s.trail) - 1; i >= s.trailLim[level]; i-- {
-		v := s.trail[i].Var()
+	for _, l := range s.trail[s.trailLim[level]:] {
+		v := l.Var()
 		s.phase[v] = s.assign[v]
 		s.assign[v] = unassigned
 		s.reason[v] = -1
+		if s.unranked {
+			if s.orderPos[v] < 0 {
+				s.orderPush(v)
+			}
+		} else if r := s.rankOf[v]; r < s.cursor {
+			s.cursor = r
+		}
 	}
 	s.trail = s.trail[:s.trailLim[level]]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = len(s.trail)
 }
 
-// decide picks the unassigned variable with the highest activity.
+// decide picks the unassigned variable with the highest activity, the
+// lowest-numbered one among equals, and returns it in its saved phase.
 func (s *SAT) decide() Lit {
-	best, bestAct := 0, -1.0
-	for v := 1; v <= s.nVars; v++ {
-		if s.assign[v] == unassigned && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
+	v := 0
+	if s.unranked {
+		for v == 0 && len(s.order) > 0 {
+			if u := s.orderPop(); s.assign[u] == unassigned {
+				v = u
+			}
+		}
+	} else {
+		for ; s.cursor < len(s.ranked); s.cursor++ {
+			if u := s.ranked[s.cursor]; s.assign[u] == unassigned {
+				v = u
+				break
+			}
 		}
 	}
-	if best == 0 {
+	switch {
+	case v == 0:
 		return 0
+	case s.phase[v] == 1:
+		return Lit(v)
+	default:
+		return Lit(-v)
 	}
-	if s.phase[best] == 1 {
-		return Lit(best)
+}
+
+// rank sorts every variable into ranked and empties the heap.
+func (s *SAT) rank() {
+	for _, v := range s.order {
+		s.orderPos[v] = -1
 	}
-	return Lit(-best)
+	s.order = s.order[:0]
+	s.ranked = s.ranked[:0]
+	for v := 1; v <= s.nVars; v++ {
+		s.ranked = append(s.ranked, v)
+	}
+	slices.SortFunc(s.ranked, func(a, b int) int {
+		switch {
+		case s.before(a, b):
+			return -1
+		case s.before(b, a):
+			return 1
+		}
+		return 0
+	})
+	for i, v := range s.ranked {
+		s.rankOf[v] = i
+	}
+	s.cursor = 0
+	s.unranked = false
+}
+
+// unrank moves the unassigned variables into the heap, ahead of an
+// activity change. They all sit in ranked[cursor:], already in heap
+// order.
+func (s *SAT) unrank() {
+	for _, v := range s.ranked[s.cursor:] {
+		if s.assign[v] == unassigned {
+			s.orderPos[v] = len(s.order)
+			s.order = append(s.order, v)
+		}
+	}
+	s.unranked = true
+}
+
+// before is the decision order: a higher activity first, then a lower
+// index. It is the order in which a scan from variable 1 upwards that
+// keeps only a strictly greater activity ranks variables.
+func (s *SAT) before(a, b int) bool {
+	aa, ab := s.activity[a], s.activity[b]
+	return aa > ab || aa == ab && a < b
+}
+
+func (s *SAT) orderPush(v int) {
+	s.orderPos[v] = len(s.order)
+	s.order = append(s.order, v)
+	s.orderUp(len(s.order) - 1)
+}
+
+// orderPop removes and returns the heap's first variable.
+func (s *SAT) orderPop() int {
+	v := s.order[0]
+	last := len(s.order) - 1
+	s.order[0] = s.order[last]
+	s.orderPos[s.order[0]] = 0
+	s.order = s.order[:last]
+	s.orderPos[v] = -1
+	if last > 0 {
+		s.orderDown(0)
+	}
+	return v
+}
+
+// orderUp moves the variable at heap index i towards the root until its
+// parent comes before it.
+func (s *SAT) orderUp(i int) {
+	v := s.order[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		u := s.order[parent]
+		if !s.before(v, u) {
+			break
+		}
+		s.order[i] = u
+		s.orderPos[u] = i
+		i = parent
+	}
+	s.order[i] = v
+	s.orderPos[v] = i
+}
+
+// orderDown moves the variable at heap index i towards the leaves until
+// it comes before both children.
+func (s *SAT) orderDown(i int) {
+	v := s.order[i]
+	n := len(s.order)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.before(s.order[r], s.order[c]) {
+			c = r
+		}
+		u := s.order[c]
+		if !s.before(u, v) {
+			break
+		}
+		s.order[i] = u
+		s.orderPos[u] = i
+		i = c
+	}
+	s.order[i] = v
+	s.orderPos[v] = i
+}
+
+// orderRebuild restores the heap property over the whole heap.
+func (s *SAT) orderRebuild() {
+	for i := len(s.order)/2 - 1; i >= 0; i-- {
+		s.orderDown(i)
+	}
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -397,6 +613,9 @@ func (s *SAT) SolveAssuming(assumps ...Lit) Status {
 		return Unsat
 	}
 	s.backtrack(0) // retract the previous call's trail
+	if s.unranked {
+		s.rank()
+	}
 	s.assumps = assumps
 	defer func() { s.assumps = nil }()
 

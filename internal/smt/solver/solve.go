@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"slices"
 
 	"gauntlet/internal/smt"
 )
@@ -118,19 +119,26 @@ func (s *Session) BVLits(t *smt.Term) []Lit { return s.b.BlastBV(smt.Simplify(t)
 // encodes one preference constraint). This is the shared engine behind
 // SolveWithPreferences and test generation's model steering.
 func (s *Session) SolveAssumingSoft(fixed []Lit, soft [][]Lit) Result {
-	res := s.SolveAssuming(fixed...)
-	if res.Status != Sat || len(soft) == 0 {
-		return res
+	if len(soft) == 0 {
+		return s.SolveAssuming(fixed...)
 	}
-	kept := append([]Lit(nil), fixed...)
-	for _, g := range soft {
-		trial := s.SolveAssuming(append(kept, g...)...)
-		res.Conflicts += trial.Conflicts
-		if trial.Status == Sat {
-			kept = append(kept, g...)
-			res.Model = trial.Model
+	sat := s.b.SAT()
+	before := sat.Conflicts
+	res := Result{Status: sat.SolveAssuming(fixed...)}
+	if res.Status == Sat {
+		// Only the last satisfiable trial's model is returned: keep its
+		// assignment and build the model once, at the end.
+		last := slices.Clone(sat.assign)
+		kept := append([]Lit(nil), fixed...)
+		for _, g := range soft {
+			if sat.SolveAssuming(append(kept, g...)...) == Sat {
+				kept = append(kept, g...)
+				last = append(last[:0], sat.assign...)
+			}
 		}
+		res.Model = s.b.modelOf(last)
 	}
+	res.Conflicts = sat.Conflicts - before
 	return res
 }
 
