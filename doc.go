@@ -50,6 +50,11 @@
 //     collector's fold boundaries, so which concrete program represents
 //     a fingerprint — and hence the witness bytes — is independent of
 //     worker interleaving too.
+//   - Every merge point where out-of-order completions must be consumed
+//     in canonical order goes through one in-order release buffer,
+//     internal/inorder: the collector's per-slot compile and oracle
+//     records, the report stage's re-sequencing of reduced findings, and
+//     the fleet coordinator's lease results.
 //
 // The concurrency discipline is "isolate first, then share": each worker
 // owns its compiler instance and solver sessions outright, and the only
@@ -269,7 +274,11 @@
 // DIR` restores the corpus and watermark, pre-seeds deduplication from
 // the journal's fingerprints, and reprocesses the slots between the
 // watermark and the death — at-least-once, with zero re-reported
-// findings. SIGHUP forces a checkpoint + stats flush without draining
+// findings. The watermark counts folded slots, not reported ones: a
+// checkpoint at fold r precedes the reduction and reporting of round
+// r's crash findings and the release of its oracle findings, so a kill
+// right after it loses those findings rather than replaying them.
+// SIGHUP forces a checkpoint + stats flush without draining
 // (and logs a one-line human summary to stderr);
 // scripts/crash_resume_smoke.sh drives the whole loop (inject, SIGKILL,
 // resume) in CI.
@@ -285,7 +294,7 @@
 // ADDR, -fleet N to fork a local fleet) completes leases
 // first-result-wins but releases them only behind a contiguous-prefix
 // watermark, re-deduplicating findings by their stable fingerprints and
-// refolding each lease's corpus delta (corpus.DeltaSet) in canonical
+// refolding each lease's corpus delta (corpus.ApplyDelta) in canonical
 // order. The consequence, race-tested and smoke-tested at the real
 // process boundary: finding set, witness bytes, report order and merged
 // corpus are byte-identical to a single process at any worker count.

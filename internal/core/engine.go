@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +16,7 @@ import (
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/coverage"
 	"gauntlet/internal/generator"
+	"gauntlet/internal/inorder"
 	"gauntlet/internal/mutate"
 	"gauntlet/internal/obs"
 	"gauntlet/internal/p4/ast"
@@ -259,9 +260,10 @@ type EngineConfig struct {
 	// findings can only be deduplicated after reduction, so a single hot
 	// defect firing on most seeds would otherwise turn the pipeline into
 	// a reducer farm; candidates beyond the cap are dropped as
-	// duplicates. Runs that stay under the cap (the tested regime) keep
-	// the worker-count-independent unique-finding set; above it, which
-	// candidates are kept depends on arrival order.
+	// duplicates. The dedup stage receives candidates only from the
+	// collector, in canonical (round, slot) order, so which candidates the
+	// cap keeps is a function of the schedule: the unique-finding set and
+	// witness bytes stay worker-count-independent above the cap as well.
 	MaxReducePerPass int
 	// Cache is the shared validation cache (nil = new private cache).
 	// Incompatible with EpochPrograms > 0: a rotating engine owns its
@@ -281,17 +283,6 @@ type EngineConfig struct {
 	// OnEpoch, when set, receives the retiring epoch's snapshot at each
 	// rotation (called from the collector goroutine).
 	OnEpoch func(EpochStats)
-	// PrewarmSeeds is how many of the corpus' top-energy seeds have their
-	// block formulas re-interned into the fresh cache at each epoch
-	// rotation (0 = default 8, negative = disabled). Warming happens at
-	// the fold point, from the collector, so the warmed set is a pure
-	// function of the schedule; it is cost-only (verdicts are recomputed
-	// identically either way) and exists so post-rotation validation
-	// latency doesn't dip while an empty cache re-derives the formulas of
-	// the seeds most likely to be scheduled next.
-	PrewarmSeeds int
-	// QueueDepth bounds each inter-stage channel (0 = 2×Workers).
-	QueueDepth int
 	// OnFinding, when set, streams each unique finding as the report
 	// stage emits it (called from the engine's reporting goroutine).
 	OnFinding func(Finding)
@@ -331,10 +322,18 @@ type EngineConfig struct {
 	// OnCheckpoint, when set, is called from the collector goroutine at
 	// fold boundaries — every CheckpointPrograms folded programs, and
 	// whenever RequestCheckpoint was pending — with the next-slot
-	// watermark (every slot below it is folded; none above it is). The
-	// collector is the sole corpus mutator, so the callback reads a
-	// consistent corpus; it should return quickly (the fold barrier
-	// waits).
+	// watermark (every slot below it is folded into the corpus; none
+	// above it is). The collector is the sole corpus mutator, so the
+	// callback reads a consistent corpus; it should return quickly (the
+	// fold barrier waits).
+	//
+	// Folded is not reported. At fold r, round r's crash-family
+	// candidates have only just been released to dedup — not yet reduced
+	// or passed to OnFinding — and its oracle candidates are released
+	// only at fold r+1. A process killed right after a checkpoint loses
+	// those findings for good, because a resume starts at the watermark;
+	// the shutdown checkpoint of a graceful drain likewise drops oracle
+	// verdicts still in flight for folded rounds.
 	OnCheckpoint func(nextSlot int64)
 	// CheckpointPrograms is the periodic checkpoint cadence in folded
 	// programs (0 = only on RequestCheckpoint).
@@ -637,13 +636,10 @@ type epochState struct {
 }
 
 // NewEngine builds an engine, filling config defaults (worker count,
-// pipeline for the backend, cache, queue depth).
+// pipeline for the backend, cache).
 func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2 * cfg.Workers
 	}
 	if cfg.MaxConflicts == 0 {
 		cfg.MaxConflicts = 20000
@@ -653,9 +649,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	if cfg.ReduceOpts.Parallelism <= 0 {
 		cfg.ReduceOpts.Parallelism = cfg.Workers
-	}
-	if cfg.PrewarmSeeds == 0 {
-		cfg.PrewarmSeeds = 8
 	}
 	if cfg.Cache == nil {
 		if cfg.EpochPrograms > 0 {
@@ -908,18 +901,6 @@ func (e *Engine) rotateEpoch() {
 		baseGatesBuilt: gb, baseGatesReused: gr,
 	})
 	e.retiredMu.Unlock()
-	// Pre-warm the fresh cache with the corpus' top-energy seeds — the
-	// programs the next rounds are most likely to schedule as mutation
-	// bases. Runs synchronously at the fold point (the collector is the
-	// sole corpus mutator, so TopEnergy reads a consistent ranking that is
-	// a pure function of the schedule) and only ever changes cost: a
-	// warmed formula is the one a later miss would compute anyway.
-	if n := e.cfg.PrewarmSeeds; n > 0 {
-		fresh := e.epoch.Load().cache
-		for _, p := range e.corpus.TopEnergy(n) {
-			fresh.Warm(p)
-		}
-	}
 	if e.cfg.OnEpoch != nil {
 		e.cfg.OnEpoch(es)
 	}
@@ -1046,8 +1027,8 @@ type unit struct {
 	baseID int
 	// skip marks a unit whose generate stage was quarantined: it still
 	// flows to the compile stage so its slot's covRec reaches the
-	// collector (the round-fold barrier counts slots, and a missing
-	// record would deadlock the fold), but no program is compiled.
+	// collector (whose buffers release by slot, so a missing record would
+	// hold back every later fold), but no program is compiled.
 	skip bool
 	// prov is the provenance trace under construction: each stage fills
 	// its fields in, and whichever stage produces a finding attaches the
@@ -1085,9 +1066,8 @@ type covRec struct {
 	// deterministic inputs to the energy fold.
 	baseID  int
 	crashed bool
-	// toOracle marks a unit forwarded to the oracle stage: the collector
-	// counts these per round so the one-round-late oracle-energy fold
-	// knows when a round's oracle verdicts are complete.
+	// toOracle marks a unit forwarded to the oracle stage; for any other
+	// slot the collector fills in the empty oracle record itself.
 	toOracle bool
 	// finding carries the slot's crash/invalid-transform candidate, if
 	// any. Candidates ride the coverage record instead of a free-running
@@ -1101,7 +1081,8 @@ type covRec struct {
 // orRec is an oracle-stage verdict report flowing to the admission
 // collector: exactly one per unit the compile stage forwarded to the
 // oracle (cancellation aside), including quarantined and errored units,
-// which report a nil finding so the fold barrier still counts them.
+// which report a nil finding so the collector's oracle buffer passes
+// their slots.
 // Oracle findings (miscompilations, mismatches) surface after their own
 // round has already folded, so both their energy and their candidate
 // programs fold one round late — at the next boundary, in canonical
@@ -1192,663 +1173,675 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 	e.lastFoldNano.Store(time.Now().UnixNano())
 	defer func() { e.endNano.Store(time.Now().UnixNano()) }()
 
-	workers := e.cfg.Workers
-	qd := e.cfg.QueueDepth
-	genCh := make(chan unit, qd)  // generate → compile
-	compCh := make(chan unit, qd) // compile → oracle
-	candCh := make(chan Finding, qd)
-	redCh := make(chan Finding, qd)
-	outCh := make(chan Finding, qd)
+	r := e.newRun(ctx)
+	go r.schedule()
+	r.pool(r.generate, func() { close(r.genCh) })
+	go r.collect()
+	r.pool(r.compile, func() { close(r.compCh); close(r.covCh) })
+	r.pool(r.inspect, func() { close(r.orCh) })
+	go r.dedup()
+	r.pool(r.reduce, func() { close(r.outCh) })
+	findings := r.report()
+	// Let the collector fold the final round before Run returns, so the
+	// corpus callers see (save, fingerprint sets) is the finished one.
+	<-r.collectorDone
+	return findings
+}
 
-	// Stage 1a: schedule. A single goroutine decides, slot by slot,
-	// whether the program comes from fresh grammar generation or from
-	// mutating corpus seeds, all under the master Seed's rand stream.
-	// Mutation decisions for a round draw only on the corpus as of the
-	// previous round's fold (stage 1c), so the schedule — and with it the
-	// finding set and the final corpus — is a pure function of the
-	// configuration, independent of worker count and channel interleaving.
-	roundSize := int64(e.cfg.SyncInterval)
-	taskCh := make(chan task, qd)
-	covCh := make(chan covRec, qd)
-	orCh := make(chan orRec, qd)
+// run is one Engine.Run's state: the channels linking the stages and
+// the round geometry they share. Each stage is a method on it:
+//
+//	schedule → generate → compile → inspect → collect → dedup → reduce → report
+//
+// The collector sits between the heavy stages and dedup: every
+// candidate reaches dedup through it, in canonical (round, slot) order.
+type run struct {
+	e   *Engine
+	ctx context.Context
+	// roundSize is the admission round length (SyncInterval); limit is
+	// the first slot past a bounded run's budget (MaxInt64 when
+	// unbounded).
+	roundSize, limit int64
+
+	taskCh chan task    // schedule → generate
+	genCh  chan unit    // generate → compile
+	compCh chan unit    // compile → inspect
+	covCh  chan covRec  // compile → collect, one per slot
+	orCh   chan orRec   // inspect → collect, one per forwarded slot
+	candCh chan Finding // collect → dedup
+	redCh  chan Finding // dedup → reduce
+	outCh  chan Finding // reduce → report
 	// foldCh carries "round folded" signals from the collector to the
 	// scheduler. At most one signal is ever outstanding (the scheduler
 	// consumes fold r before emitting round r+1, and fold r+1 cannot
 	// complete before round r+1 is fully emitted), so capacity 1 with a
 	// non-blocking send never drops.
-	foldCh := make(chan struct{}, 1)
-	go func() {
-		defer close(taskCh)
-		sched := rand.New(rand.NewSource(e.cfg.Seed))
-		for slot, inRound := e.cfg.StartSeed, int64(0); ; slot++ {
-			if e.cfg.Seeds > 0 && slot >= e.cfg.StartSeed+e.cfg.Seeds {
-				return
-			}
-			if inRound == roundSize {
-				inRound = 0
-				if e.cfg.MutateRatio > 0 {
-					select {
-					case <-foldCh:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-			inRound++
-			t := task{slot: slot, rngSeed: mix(e.cfg.Seed, slot)}
-			if e.cfg.MutateRatio > 0 && sched.Float64() < e.cfg.MutateRatio {
-				t.base = e.corpus.Select(sched)
-				t.donor = e.corpus.Select(sched)
-				t.mutate = t.base != nil
-			}
-			if !send(ctx, taskCh, t) {
-				return
-			}
-		}
-	}()
+	foldCh        chan struct{}
+	collectorDone chan struct{}
+}
 
-	// Stage 1b: generate/mutate. Workers materialize tasks — grammar
-	// generation or corpus mutation plus the cheap type-check gate — in
-	// parallel; each task is a pure value, so parallelism cannot perturb
-	// the schedule.
-	var genWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		genWG.Add(1)
+// newRun builds the state of one Run under ctx.
+func (e *Engine) newRun(ctx context.Context) *run {
+	// Every inter-stage channel holds two units per worker: enough slack
+	// that a stage rarely stalls on its neighbour's jitter, while the
+	// programs in flight stay proportional to the pool.
+	qd := 2 * e.cfg.Workers
+	r := &run{
+		e: e, ctx: ctx,
+		roundSize:     int64(e.cfg.SyncInterval),
+		limit:         math.MaxInt64,
+		taskCh:        make(chan task, qd),
+		genCh:         make(chan unit, qd),
+		compCh:        make(chan unit, qd),
+		covCh:         make(chan covRec, qd),
+		orCh:          make(chan orRec, qd),
+		candCh:        make(chan Finding, qd),
+		redCh:         make(chan Finding, qd),
+		outCh:         make(chan Finding, qd),
+		foldCh:        make(chan struct{}, 1),
+		collectorDone: make(chan struct{}),
+	}
+	if e.cfg.Seeds > 0 {
+		r.limit = e.cfg.StartSeed + e.cfg.Seeds
+	}
+	return r
+}
+
+// roundEnd is the first slot past round k (the run's start for k = -1).
+func (r *run) roundEnd(k int64) int64 {
+	return min(r.e.cfg.StartSeed+(k+1)*r.roundSize, r.limit)
+}
+
+// pool runs stage on Workers goroutines and calls done once all of them
+// have returned.
+func (r *run) pool(stage func(w int), done func()) {
+	var wg sync.WaitGroup
+	for w := 0; w < r.e.cfg.Workers; w++ {
+		wg.Add(1)
 		go func() {
-			defer genWG.Done()
-			for t := range taskCh {
-				u := unit{seed: t.slot, baseID: -1}
-				var names []string
-				genStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "generate", t.slot); err != nil {
-						return err
-					}
-					u.prog, u.prof, names, u.mutated = e.materialize(t)
-					return nil
-				})
-				if cancelled {
-					return
-				}
-				// Latency is measured around supervise, in this goroutine:
-				// an abandoned stalled closure may still be writing, so
-				// nothing it touches is read on the fault path.
-				genElapsed := time.Since(genStart)
-				if m := e.metrics; m != nil {
-					m.stageDur[stageGenerate].ObserveShard(w, genElapsed)
-				}
-				e.generated.Add(1)
-				switch {
-				case fault != nil:
-					// The slot still ships downstream (skip) so its covRec
-					// reaches the fold barrier; only the program is lost.
-					e.quarantine("generate", t.slot, originOf(t.mutate), nil, fault)
-					u = unit{seed: t.slot, baseID: -1, skip: true}
-				case err != nil:
-					// Injected/stage error: a tool limitation, not a bug.
-					e.compileErrors.Add(1)
-					if e.cfg.OnOracleError != nil {
-						e.cfg.OnOracleError(t.slot, err)
-					}
-					u = unit{seed: t.slot, baseID: -1, skip: true}
-				default:
-					if u.mutated {
-						e.mutated.Add(1)
-						u.baseID = t.base.ID
-					}
-					u.prov = &Provenance{
-						Slot:       t.slot,
-						Round:      (t.slot - e.cfg.StartSeed) / roundSize,
-						Origin:     originOf(u.mutated),
-						Mutations:  names,
-						GenerateNs: genElapsed.Nanoseconds(),
-					}
-				}
-				if !send(ctx, genCh, u) {
-					return
-				}
-			}
+			defer wg.Done()
+			stage(w)
 		}()
 	}
-	go func() { genWG.Wait(); close(genCh) }()
+	go func() { wg.Wait(); done() }()
+}
 
-	// Stage 1c: collect coverage and fold corpus admissions. Records
-	// buffer per round and fold in canonical slot order once the round is
-	// complete, so admission — which is order-sensitive (a program is
-	// admitted only if it still adds coverage) — is identical on any
-	// worker count.
-	collectorDone := make(chan struct{})
-	go func() {
-		defer close(collectorDone)
-		// The collector is the sole producer of finding candidates: it
-		// releases them to dedup in canonical (round, slot) order at fold
-		// boundaries, so the candidate sequence — and with it which
-		// concrete program represents each deduplicated fingerprint — is
-		// a pure function of the schedule.
-		defer close(candCh)
-		live := true
-		release := func(f *Finding) {
-			if f == nil || !live {
+// supervised runs one unit's body for a supervised stage (generate,
+// compile, inspect or reduce) on worker w: the fault-injection hook, then
+// fn, both under supervise. It measures the stage latency around
+// supervise, in this goroutine — an abandoned stalled closure may still
+// be writing, so nothing it touches is read on the fault path — and
+// records it unless the run was cancelled.
+func (r *run) supervised(stage, w int, slot int64, fn func() error) (time.Duration, error, *stageFault, bool) {
+	start := time.Now()
+	err, fault, cancelled := supervise(r.ctx, r.e.cfg.StageTimeout, func() error {
+		if err := r.e.injectFault(r.ctx, stageNames[stage], slot); err != nil {
+			return err
+		}
+		return fn()
+	})
+	if cancelled {
+		return 0, nil, nil, true
+	}
+	elapsed := time.Since(start)
+	if m := r.e.metrics; m != nil {
+		m.stageDur[stage].ObserveShard(w, elapsed)
+	}
+	return elapsed, err, fault, false
+}
+
+// schedule decides, slot by slot, whether the program comes from fresh
+// grammar generation or from mutating corpus seeds, all under the master
+// Seed's rand stream. Mutation decisions for a round draw only on the
+// corpus as of the previous round's fold, so the schedule — and with it
+// the finding set and the final corpus — is a pure function of the
+// configuration, independent of worker count and channel interleaving.
+func (r *run) schedule() {
+	defer close(r.taskCh)
+	e := r.e
+	sched := rand.New(rand.NewSource(e.cfg.Seed))
+	for slot, inRound := e.cfg.StartSeed, int64(0); slot < r.limit; slot++ {
+		if inRound == r.roundSize {
+			inRound = 0
+			if e.cfg.MutateRatio > 0 {
+				select {
+				case <-r.foldCh:
+				case <-r.ctx.Done():
+					return
+				}
+			}
+		}
+		inRound++
+		t := task{slot: slot, rngSeed: mix(e.cfg.Seed, slot)}
+		if e.cfg.MutateRatio > 0 && sched.Float64() < e.cfg.MutateRatio {
+			t.base = e.corpus.Select(sched)
+			t.donor = e.corpus.Select(sched)
+			t.mutate = t.base != nil
+		}
+		if !send(r.ctx, r.taskCh, t) {
+			return
+		}
+	}
+}
+
+// generate materializes tasks — grammar generation or corpus mutation
+// plus the cheap type-check gate. Each task is a pure value, so
+// parallelism cannot perturb the schedule.
+func (r *run) generate(w int) {
+	e := r.e
+	for t := range r.taskCh {
+		u := unit{seed: t.slot, baseID: -1}
+		var names []string
+		elapsed, err, fault, cancelled := r.supervised(stageGenerate, w, t.slot, func() error {
+			u.prog, u.prof, names, u.mutated = e.materialize(t)
+			return nil
+		})
+		if cancelled {
+			return
+		}
+		e.generated.Add(1)
+		switch {
+		case fault != nil:
+			// The slot still ships downstream (skip) so its covRec
+			// reaches the collector; only the program is lost.
+			e.quarantine("generate", t.slot, originOf(t.mutate), nil, fault)
+			u = unit{seed: t.slot, baseID: -1, skip: true}
+		case err != nil:
+			// Injected/stage error: a tool limitation, not a bug.
+			e.toolError(&e.compileErrors, t.slot, err)
+			u = unit{seed: t.slot, baseID: -1, skip: true}
+		default:
+			if u.mutated {
+				e.mutated.Add(1)
+				u.baseID = t.base.ID
+			}
+			u.prov = &Provenance{
+				Slot:       t.slot,
+				Round:      (t.slot - e.cfg.StartSeed) / r.roundSize,
+				Origin:     originOf(u.mutated),
+				Mutations:  names,
+				GenerateNs: elapsed.Nanoseconds(),
+			}
+		}
+		if !send(r.ctx, r.genCh, u) {
+			return
+		}
+	}
+}
+
+// compile runs the pass pipeline. Every slot reports one covRec to the
+// collector — its coverage profile (AST features plus the pass trace, or
+// a crash/invalid edge) and any crash-family candidate, which the
+// collector releases to dedup at the round's fold in slot order. Clean
+// compilations flow on to the oracle stage.
+func (r *run) compile(w int) {
+	e := r.e
+	for u := range r.genCh {
+		if u.skip {
+			// Quarantined upstream: the slot's covRec still counts the
+			// fold, with nothing to admit.
+			if !send(r.ctx, r.covCh, covRec{slot: u.seed, baseID: -1}) {
 				return
 			}
-			if !send(ctx, candCh, *f) {
-				live = false // cancelled: stop releasing, keep folding
+			continue
+		}
+		var out Outcome
+		var prof *coverage.Profile
+		var astFP uint64
+		elapsed, err, fault, cancelled := r.supervised(stageCompile, w, u.seed, func() error {
+			out = e.oracle.Compile(u.prog)
+			prof = u.prof
+			if prof == nil {
+				prof = coverage.OfProgram(u.prog)
+			}
+			astFP = prof.Fingerprint()
+			switch {
+			case out.Crash != nil:
+				prof.AddPassCrash(out.Crash.Pass)
+			case out.Invalid != nil:
+				prof.AddPassInvalid(out.Invalid.Pass)
+			case out.Err == nil:
+				prof.AddTrace(out.Result.Trace)
+			}
+			return out.Err
+		})
+		if cancelled {
+			return
+		}
+		if fault != nil {
+			e.quarantine("compile", u.seed, originOf(u.mutated), u.prog, fault)
+			if !send(r.ctx, r.covCh, covRec{slot: u.seed, baseID: -1}) {
+				return
+			}
+			continue
+		}
+		if u.prov != nil {
+			u.prov.CompileNs = elapsed.Nanoseconds()
+		}
+		if err != nil {
+			// fn returns out.Err, so this only rewrites it when the
+			// error was injected before compilation produced one.
+			out.Err = err
+		}
+		rec := covRec{
+			slot: u.seed, prog: u.prog, prof: prof, astFP: astFP,
+			baseID:   u.baseID,
+			crashed:  out.Crash != nil || out.Invalid != nil,
+			toOracle: out.Err == nil && out.Crash == nil && out.Invalid == nil,
+		}
+		switch {
+		case out.Crash != nil:
+			e.crashes.Add(1)
+			rec.finding = r.candidate(u, FindingCrash, out.Crash.Pass,
+				fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg))
+			rec.finding.crashMsg = out.Crash.Msg
+		case out.Invalid != nil:
+			e.invalids.Add(1)
+			rec.finding = r.candidate(u, FindingInvalidTransform, out.Invalid.Pass, out.Invalid.Error())
+			rec.finding.crashMsg = out.Invalid.Error()
+		}
+		if !send(r.ctx, r.covCh, rec) {
+			return
+		}
+		switch {
+		case out.Err != nil:
+			e.toolError(&e.compileErrors, u.seed, out.Err)
+		case out.Crash != nil, out.Invalid != nil:
+			// The candidate travelled with the covRec above.
+		default:
+			e.compiled.Add(1)
+			u.res = out.Result
+			if !send(r.ctx, r.compCh, u) {
+				return
 			}
 		}
-		expected := func(round int64) int64 {
-			if e.cfg.Seeds <= 0 {
-				return roundSize
-			}
-			rem := e.cfg.Seeds - round*roundSize
-			if rem > roundSize {
-				return roundSize
-			}
-			return rem
-		}
-		pending := map[int64][]covRec{}
-		// One-round-late oracle energy: round r's admission fold also
-		// requires round r-1's oracle verdicts (counted at r-1's own fold
-		// via toOracle) to be complete, and applies their finding bumps —
-		// slot-sorted — before r's admissions. Oracle verdicts of the very
-		// last round have no following fold and are dropped; that too is a
-		// pure function of the schedule.
-		pendingOr := map[int64][]orRec{}
-		oracleExpected := map[int64]int{}
-		next := int64(0)
-		lastCheckpoint := uint64(0)
-		covIn, orIn := covCh, orCh
-		for covIn != nil || orIn != nil {
-			select {
-			case rec, ok := <-covIn:
-				if !ok {
-					covIn = nil
-					continue
-				}
-				round := (rec.slot - e.cfg.StartSeed) / roundSize
-				pending[round] = append(pending[round], rec)
-			case rec, ok := <-orIn:
-				if !ok {
-					orIn = nil
-					continue
-				}
-				round := (rec.slot - e.cfg.StartSeed) / roundSize
-				pendingOr[round] = append(pendingOr[round], rec)
-			}
-			for {
-				exp := expected(next)
-				if exp <= 0 || int64(len(pending[next])) < exp {
-					break
-				}
-				if next > 0 {
-					oexp, folded := oracleExpected[next-1]
-					if !folded || len(pendingOr[next-1]) < oexp {
-						break // previous round's oracle verdicts still in flight
-					}
-					ors := pendingOr[next-1]
-					delete(pendingOr, next-1)
-					delete(oracleExpected, next-1)
-					sort.Slice(ors, func(i, j int) bool { return ors[i].slot < ors[j].slot })
-					for _, o := range ors {
-						if o.finding != nil && o.baseID >= 0 {
-							e.corpus.BumpEnergy(o.baseID, findingBump)
-						}
-						release(o.finding)
-					}
-				}
-				recs := pending[next]
-				delete(pending, next)
-				sort.Slice(recs, func(i, j int) bool { return recs[i].slot < recs[j].slot })
-				nOracle := 0
-				for _, rc := range recs {
-					if rc.toOracle {
-						nOracle++
-					}
-					release(rc.finding)
-					if rc.prof == nil {
-						// Quarantined or errored before profiling: the
-						// record exists only to count the fold.
-						continue
-					}
-					e.corpus.RecordProgram(rc.astFP)
-					admitted := e.corpus.Add(rc.prog, rc.prof)
-					// Dynamic energy: reward the mutation base whose
-					// mutant earned admission or found a compile-stage
-					// bug — folded here, in canonical slot order, so
-					// scheduling stays replayable under cfg.Seed.
-					if rc.baseID >= 0 {
-						bump := 0.0
-						if admitted {
-							bump += admissionBump
-						}
-						if rc.crashed {
-							bump += findingBump
-						}
-						e.corpus.BumpEnergy(rc.baseID, bump)
-					}
-				}
-				e.programsFolded.Add(uint64(len(recs)))
-				// Liveness heartbeat: wall-clock only, feeds Health, never
-				// a scheduling decision.
-				e.lastFoldNano.Store(time.Now().UnixNano())
-				oracleExpected[next] = nOracle
-				next++
-				// Epoch rotation shares the admission fold's
-				// determinism: it fires at the first fold boundary at or
-				// past EpochPrograms, a pure function of the schedule.
-				if e.cfg.EpochPrograms > 0 {
-					ep := e.epoch.Load()
-					if e.programsFolded.Load()-ep.startPrograms >= uint64(e.cfg.EpochPrograms) {
-						e.rotateEpoch()
-					}
-				}
-				// Checkpoints fire only here, from the sole corpus-mutating
-				// goroutine, at a fold boundary: the snapshot is a
-				// consistent (corpus, watermark) pair — every slot below
-				// the watermark folded, none above it.
-				if e.cfg.OnCheckpoint != nil {
-					folded := e.programsFolded.Load()
-					fire := e.checkpointReq.Swap(false)
-					if e.cfg.CheckpointPrograms > 0 &&
-						folded-lastCheckpoint >= uint64(e.cfg.CheckpointPrograms) {
-						fire = true
-					}
-					if fire {
-						lastCheckpoint = folded
-						e.cfg.OnCheckpoint(e.cfg.StartSeed + int64(folded))
-					}
-				}
-				if e.cfg.MutateRatio > 0 {
-					select {
-					case foldCh <- struct{}{}:
-					default:
-					}
-				}
-			}
-		}
-		// Tail release: the final folded round's oracle verdicts arrive
-		// after its fold has passed and no later fold exists, so their
-		// energy is dropped (a pure function of the schedule) — but their
-		// candidates must still surface. Release them in (round, slot)
-		// order, folded rounds only: an unfolded round sits above the
-		// checkpoint watermark and is reprocessed on resume, so dropping
-		// its partial candidates keeps bounded runs deterministic.
-		var tail []int64
-		for round := range pendingOr {
-			if round < next {
-				tail = append(tail, round)
-			}
-		}
-		sort.Slice(tail, func(i, j int) bool { return tail[i] < tail[j] })
-		for _, round := range tail {
-			ors := pendingOr[round]
-			sort.Slice(ors, func(i, j int) bool { return ors[i].slot < ors[j].slot })
-			for _, o := range ors {
-				release(o.finding)
-			}
-		}
-		// Shutdown checkpoint: covCh is closed, so every fold that will
-		// happen has happened and the watermark is final. A graceful
-		// drain thus resumes exactly where it stopped; only a hard kill
-		// falls back to the last periodic checkpoint and reprocesses the
-		// gap (at-least-once, deduplicated by the journal).
-		if e.cfg.OnCheckpoint != nil {
-			if folded := e.programsFolded.Load(); folded > lastCheckpoint {
-				e.cfg.OnCheckpoint(e.cfg.StartSeed + int64(folded))
-			}
-		}
-	}()
-
-	// Stage 2: compile. Crash and invalid-transform candidates ride the
-	// coverage record to the collector, which releases them to dedup at
-	// the round's fold in slot order; clean compilations flow to the
-	// oracle stage. Every unit also reports its coverage profile — AST
-	// features plus the pass trace (or a crash/invalid edge) — to the
-	// admission collector.
-	var compWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		compWG.Add(1)
-		go func() {
-			defer compWG.Done()
-			for u := range genCh {
-				if u.skip {
-					// Quarantined upstream: the slot's covRec still counts
-					// the fold, with nothing to admit.
-					if !send(ctx, covCh, covRec{slot: u.seed, baseID: -1}) {
-						return
-					}
-					continue
-				}
-				var out Outcome
-				var prof *coverage.Profile
-				var astFP uint64
-				compStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "compile", u.seed); err != nil {
-						return err
-					}
-					out = e.oracle.Compile(u.prog)
-					prof = u.prof
-					if prof == nil {
-						prof = coverage.OfProgram(u.prog)
-					}
-					astFP = prof.Fingerprint()
-					switch {
-					case out.Crash != nil:
-						prof.AddPassCrash(out.Crash.Pass)
-					case out.Invalid != nil:
-						prof.AddPassInvalid(out.Invalid.Pass)
-					case out.Err == nil:
-						prof.AddTrace(out.Result.Trace)
-					}
-					return out.Err
-				})
-				if cancelled {
-					return
-				}
-				compElapsed := time.Since(compStart)
-				if m := e.metrics; m != nil {
-					m.stageDur[stageCompile].ObserveShard(w, compElapsed)
-				}
-				if fault != nil {
-					e.quarantine("compile", u.seed, originOf(u.mutated), u.prog, fault)
-					if !send(ctx, covCh, covRec{slot: u.seed, baseID: -1}) {
-						return
-					}
-					continue
-				}
-				if u.prov != nil {
-					u.prov.CompileNs = compElapsed.Nanoseconds()
-				}
-				if err != nil {
-					// fn returns out.Err, so this only rewrites it when the
-					// error was injected before compilation produced one.
-					out.Err = err
-				}
-				rec := covRec{
-					slot: u.seed, prog: u.prog, prof: prof, astFP: astFP,
-					baseID:   u.baseID,
-					crashed:  out.Crash != nil || out.Invalid != nil,
-					toOracle: out.Err == nil && out.Crash == nil && out.Invalid == nil,
-				}
-				// Crash-family candidates ride the coverage record: the
-				// collector releases them at the round's fold, in slot
-				// order, so dedup sees a worker-count-independent sequence.
-				switch {
-				case out.Crash != nil:
-					e.crashes.Add(1)
-					rec.finding = &Finding{
-						Kind: FindingCrash, Seed: u.seed, Backend: e.cfg.Backend.String(),
-						Pass:       out.Crash.Pass,
-						Detail:     fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg),
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-						crashMsg:   out.Crash.Msg,
-					}
-				case out.Invalid != nil:
-					e.invalids.Add(1)
-					rec.finding = &Finding{
-						Kind: FindingInvalidTransform, Seed: u.seed, Backend: e.cfg.Backend.String(),
-						Pass:       out.Invalid.Pass,
-						Detail:     out.Invalid.Error(),
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-						crashMsg:   out.Invalid.Error(),
-					}
-				}
-				if !send(ctx, covCh, rec) {
-					return
-				}
-				switch {
-				case out.Err != nil:
-					e.compileErrors.Add(1)
-					if e.cfg.OnOracleError != nil {
-						e.cfg.OnOracleError(u.seed, out.Err)
-					}
-				case out.Crash != nil, out.Invalid != nil:
-					// The candidate travelled with the covRec above.
-				default:
-					e.compiled.Add(1)
-					u.res = out.Result
-					if !send(ctx, compCh, u) {
-						return
-					}
-				}
-			}
-		}()
 	}
-	go func() { compWG.Wait(); close(compCh); close(covCh) }()
+}
 
-	// Stage 3: oracle (translation validation + packet tests).
-	var oracleWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		oracleWG.Add(1)
-		go func() {
-			defer oracleWG.Done()
-			for u := range compCh {
-				out := Outcome{Result: u.res}
-				// Per-unit oracle copy (InspectLadder copies again for its
-				// ladder rungs anyway): the QueryObs hook accumulates this
-				// unit's resolution-tier counts for provenance. The tiers
-				// map is goroutine-private — queries run sequentially inside
-				// one inspection — and is read only on the success path,
-				// never after a fault abandons the closure.
-				oc := *e.oracle
-				var tiers map[string]uint64
-				oc.QueryObs = func(tier string, d time.Duration) {
-					if tiers == nil {
-						tiers = make(map[string]uint64, 4)
-					}
-					tiers[tier]++
-					if m := e.metrics; m != nil {
-						m.observeQuery(tier, d)
-					}
-				}
-				oracleStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "oracle", u.seed); err != nil {
-						return err
-					}
-					oc.InspectLadder(ctx, &out)
-					return nil
-				})
-				if cancelled {
-					return
-				}
-				oracleElapsed := time.Since(oracleStart)
-				if m := e.metrics; m != nil {
-					m.stageDur[stageOracle].ObserveShard(w, oracleElapsed)
-				}
-				// Every unit reports exactly one orRec — finding or not,
-				// quarantined or not — so the collector's one-round-late
-				// energy barrier can count a round's oracle verdicts
-				// complete. Candidates ride the record and are released by
-				// the collector one round late, in slot order.
-				var cand *Finding
-				if fault != nil {
-					// Do not touch out: an abandoned (stalled) invocation
-					// may still be writing it. Quarantine on the unit's
-					// identity alone.
-					e.quarantine("oracle", u.seed, originOf(u.mutated), u.prog, fault)
-					if !send(ctx, orCh, orRec{slot: u.seed, baseID: u.baseID}) {
-						return
-					}
-					continue
-				}
-				if err != nil {
-					out = Outcome{Result: u.res, Err: err}
-				}
-				if u.prov != nil {
-					u.prov.OracleNs = oracleElapsed.Nanoseconds()
-					u.prov.QueryTiers = tiers
-				}
-				if out.Unknowns > 0 {
-					e.unknownVerdicts.Add(uint64(out.Unknowns))
-				}
-				if out.Retried {
-					e.oracleRetries.Add(1)
-				}
-				switch {
-				case out.TimedOut:
-					// The escalation ladder bottomed out: an explicit
-					// weakened verdict, quarantined for offline triage.
-					e.timeouts.Add(1)
-					e.quarantineTimeout(u.seed, originOf(u.mutated), u.prog)
-				case out.Err != nil:
-					if ctx.Err() != nil {
-						return
-					}
-					e.oracleError(u.seed, out.Err)
-				case len(out.Failures) > 0:
-					e.miscompiles.Add(1)
-					cand = &Finding{
-						Kind: FindingMiscompilation, Seed: u.seed, Backend: e.cfg.Backend.String(),
-						Pass:       out.Failures[0].PassB,
-						Detail:     out.Failures[0].String(),
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-						cex:        out.Failures[0].Counterexample,
-					}
-				case len(out.Mismatches) > 0:
-					e.mismatches.Add(1)
-					cand = &Finding{
-						Kind: FindingMismatch, Seed: u.seed, Backend: e.cfg.Backend.String(),
-						Detail:     out.Mismatches[0],
-						Origin:     originOf(u.mutated),
-						Program:    u.prog,
-						Provenance: u.prov,
-					}
-					if len(out.MismatchCases) > 0 {
-						mc := out.MismatchCases[0]
-						cand.replay = &mc
-					}
-				default:
-					e.clean.Add(1)
-				}
-				if !send(ctx, orCh, orRec{slot: u.seed, baseID: u.baseID, finding: cand}) {
-					return
-				}
-			}
-		}()
+// candidate builds unit u's finding of one kind, filled with the fields
+// every kind shares.
+func (r *run) candidate(u unit, kind FindingKind, pass, detail string) *Finding {
+	return &Finding{
+		Kind: kind, Seed: u.seed, Backend: r.e.cfg.Backend.String(),
+		Pass: pass, Detail: detail, Origin: originOf(u.mutated),
+		Program: u.prog, Provenance: u.prov,
 	}
-	go func() { compWG.Wait(); oracleWG.Wait(); close(orCh) }()
+}
 
-	// Stage 4: fingerprint/dedup. Crash-family findings have stable
-	// fingerprints before reduction, so duplicates are dropped here and
-	// never reach the (expensive) reducer. Semantic findings are
-	// fingerprinted by their *reduced* witness, so they dedup in the
-	// report stage instead — capped per (kind, pass) so one hot defect
-	// firing on most seeds cannot turn the pipeline into a reducer farm.
-	// Candidates arrive from the collector in canonical (round, slot)
-	// order, so the program that wins each fingerprint — the one that
-	// gets reduced and printed — is deterministic; each survivor is
-	// stamped with its position so the report stage can re-sequence
-	// findings after parallel reduction scrambles completion order.
-	go func() {
-		defer close(redCh)
-		seen := map[uint64]bool{}
-		for _, fp := range e.cfg.KnownFindings {
-			// Resume path: crash-family findings an earlier incarnation
-			// already reported dedup here, before the reducer.
-			seen[fp] = true
-		}
-		perPass := map[string]int{}
-		order := int64(0)
-		for f := range candCh {
-			var dedupStart time.Time
-			if e.metrics != nil {
-				dedupStart = time.Now()
+// inspect is the oracle stage: translation validation and packet tests.
+// Every unit reports exactly one orRec — finding or not, quarantined or
+// not — and the collector releases its candidate one round late, in slot
+// order.
+func (r *run) inspect(w int) {
+	e := r.e
+	for u := range r.compCh {
+		out := Outcome{Result: u.res}
+		// Per-unit oracle copy (InspectLadder copies again for its
+		// ladder rungs anyway): the QueryObs hook accumulates this unit's
+		// resolution-tier counts for provenance. The tiers map is
+		// goroutine-private — queries run sequentially inside one
+		// inspection — and is read only on the success path, never after
+		// a fault abandons the closure.
+		oc := *e.oracle
+		var tiers map[string]uint64
+		oc.QueryObs = func(tier string, d time.Duration) {
+			if tiers == nil {
+				tiers = make(map[string]uint64, 4)
 			}
-			dup := false
-			if f.Kind == FindingCrash || f.Kind == FindingInvalidTransform {
-				f.Fingerprint = crashFingerprint(f.Kind, f.Pass, f.crashMsg)
-				if seen[f.Fingerprint] {
-					dup = true
-				} else {
-					seen[f.Fingerprint] = true
-				}
-			} else {
-				key := fmt.Sprintf("%d\x00%s", f.Kind, f.Pass)
-				if perPass[key] >= e.cfg.MaxReducePerPass {
-					dup = true
-				} else {
-					perPass[key]++
-				}
-			}
+			tiers[tier]++
 			if m := e.metrics; m != nil {
-				// Classification only; the (blocking) handoff to the
-				// reducer is backpressure, not dedup latency.
-				m.stageDur[stageDedup].Observe(time.Since(dedupStart))
+				m.observeQuery(tier, d)
 			}
-			if dup {
-				e.duplicates.Add(1)
+		}
+		elapsed, err, fault, cancelled := r.supervised(stageOracle, w, u.seed, func() error {
+			oc.InspectLadder(r.ctx, &out)
+			return nil
+		})
+		if cancelled {
+			return
+		}
+		var cand *Finding
+		if fault != nil {
+			// Do not touch out: an abandoned (stalled) invocation may
+			// still be writing it. Quarantine on the unit's identity
+			// alone.
+			e.quarantine("oracle", u.seed, originOf(u.mutated), u.prog, fault)
+			if !send(r.ctx, r.orCh, orRec{slot: u.seed, baseID: u.baseID}) {
+				return
+			}
+			continue
+		}
+		if err != nil {
+			out = Outcome{Result: u.res, Err: err}
+		}
+		if u.prov != nil {
+			u.prov.OracleNs = elapsed.Nanoseconds()
+			u.prov.QueryTiers = tiers
+		}
+		if out.Unknowns > 0 {
+			e.unknownVerdicts.Add(uint64(out.Unknowns))
+		}
+		if out.Retried {
+			e.oracleRetries.Add(1)
+		}
+		switch {
+		case out.TimedOut:
+			// The escalation ladder bottomed out: an explicit weakened
+			// verdict, quarantined for offline triage.
+			e.timeouts.Add(1)
+			e.quarantineTimeout(u.seed, originOf(u.mutated), u.prog)
+		case out.Err != nil:
+			if r.ctx.Err() != nil {
+				return
+			}
+			e.toolError(&e.oracleErrors, u.seed, out.Err)
+		case len(out.Failures) > 0:
+			e.miscompiles.Add(1)
+			cand = r.candidate(u, FindingMiscompilation, out.Failures[0].PassB, out.Failures[0].String())
+			cand.cex = out.Failures[0].Counterexample
+		case len(out.Mismatches) > 0:
+			e.mismatches.Add(1)
+			cand = r.candidate(u, FindingMismatch, "", out.Mismatches[0])
+			if len(out.MismatchCases) > 0 {
+				mc := out.MismatchCases[0]
+				cand.replay = &mc
+			}
+		default:
+			e.clean.Add(1)
+		}
+		if !send(r.ctx, r.orCh, orRec{slot: u.seed, baseID: u.baseID, finding: cand}) {
+			return
+		}
+	}
+}
+
+// collector is the collect stage's state, owned by its one goroutine.
+type collector struct {
+	*run
+	// cov and ors hold the compile and oracle records by slot. Every
+	// slot gets exactly one entry in each: the collector fills in an
+	// empty oracle record for a slot the compile stage did not forward.
+	cov *inorder.Buffer[covRec]
+	ors *inorder.Buffer[orRec]
+	// live is false once a release found the run cancelled.
+	live bool
+	// lastCheckpoint is programsFolded at the last OnCheckpoint call.
+	lastCheckpoint uint64
+}
+
+// collect folds coverage into the corpus and is the sole producer of
+// finding candidates. Round r folds once the compile buffer has passed
+// r's end and the oracle buffer has passed r-1's end: round r-1's
+// oracle verdicts — which surface after their own round has folded —
+// bump energy and release their candidates, then round r's records are
+// admitted and release their crash-family candidates, all in slot
+// order. Admission is order-sensitive (a program is admitted only if it
+// still adds coverage), and which concrete program represents a
+// deduplicated fingerprint decides the reduced witness bytes, so both
+// must be a pure function of the schedule, never of worker
+// interleaving.
+func (r *run) collect() {
+	defer close(r.collectorDone)
+	defer close(r.candCh)
+	c := &collector{
+		run:  r,
+		cov:  inorder.New[covRec](r.e.cfg.StartSeed),
+		ors:  inorder.New[orRec](r.e.cfg.StartSeed),
+		live: true,
+	}
+	var recs []covRec  // round k's compile records popped so far
+	var oracle []orRec // round k-1's oracle records popped so far
+	k := int64(0)
+	covIn, orIn := r.covCh, r.orCh
+	for covIn != nil || orIn != nil {
+		select {
+		case rec, ok := <-covIn:
+			if !ok {
+				covIn = nil
 				continue
 			}
-			f.order = order
-			order++
-			if !send(ctx, redCh, f) {
-				return
+			c.cov.Put(rec.slot, rec)
+			if !rec.toOracle {
+				c.ors.Put(rec.slot, orRec{slot: rec.slot, baseID: -1})
+			}
+		case rec, ok := <-orIn:
+			if !ok {
+				orIn = nil
+				continue
+			}
+			c.ors.Put(rec.slot, rec)
+		}
+		for r.roundEnd(k-1) < r.limit {
+			var covDone, orDone bool
+			recs, covDone = popUntil(c.cov, r.roundEnd(k), recs)
+			oracle, orDone = popUntil(c.ors, r.roundEnd(k-1), oracle)
+			if !covDone || !orDone {
+				break
+			}
+			c.fold(oracle, recs)
+			recs, oracle = recs[:0], oracle[:0]
+			k++
+		}
+	}
+	// Tail release: the last folded round's oracle verdicts arrive after
+	// its fold and no later fold exists, so their energy is dropped (a
+	// pure function of the schedule), but their candidates must still
+	// surface. Unfolded rounds sit above the checkpoint watermark and are
+	// reprocessed on resume, so their partial candidates are dropped,
+	// which keeps bounded runs deterministic.
+	oracle, _ = popUntil(c.ors, r.roundEnd(k-1), oracle)
+	for _, o := range oracle {
+		c.release(o.finding)
+	}
+	// Shutdown checkpoint: covCh is closed, so every fold that will
+	// happen has happened and the watermark is final. Folded rounds whose
+	// findings were still in flight stay lost (see OnCheckpoint).
+	if r.e.cfg.OnCheckpoint != nil {
+		if folded := r.e.programsFolded.Load(); folded > c.lastCheckpoint {
+			r.e.cfg.OnCheckpoint(r.e.cfg.StartSeed + int64(folded))
+		}
+	}
+}
+
+// popUntil appends b's values below index end to dst, as far as they are
+// present, and reports whether b's watermark has reached end.
+func popUntil[T any](b *inorder.Buffer[T], end int64, dst []T) ([]T, bool) {
+	for b.Next() < end {
+		v, ok := b.Pop()
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, v)
+	}
+	return dst, true
+}
+
+// release hands one candidate to dedup.
+func (c *collector) release(f *Finding) {
+	if f == nil || !c.live {
+		return
+	}
+	if !send(c.ctx, c.candCh, *f) {
+		c.live = false // cancelled: stop releasing, keep folding
+	}
+}
+
+// fold applies one round: the previous round's oracle records, then this
+// round's compile records, both in slot order.
+func (c *collector) fold(oracle []orRec, recs []covRec) {
+	e := c.e
+	for _, o := range oracle {
+		if o.finding != nil && o.baseID >= 0 {
+			e.corpus.BumpEnergy(o.baseID, findingBump)
+		}
+		c.release(o.finding)
+	}
+	for _, rc := range recs {
+		c.release(rc.finding)
+		if rc.prof == nil {
+			// Quarantined or errored before profiling: the record exists
+			// only to count the fold.
+			continue
+		}
+		e.corpus.RecordProgram(rc.astFP)
+		admitted := e.corpus.Add(rc.prog, rc.prof)
+		// Dynamic energy: reward the mutation base whose mutant earned
+		// admission or found a compile-stage bug.
+		if rc.baseID >= 0 {
+			bump := 0.0
+			if admitted {
+				bump += admissionBump
+			}
+			if rc.crashed {
+				bump += findingBump
+			}
+			e.corpus.BumpEnergy(rc.baseID, bump)
+		}
+	}
+	e.programsFolded.Add(uint64(len(recs)))
+	// Liveness heartbeat: wall-clock only, feeds Health, never a
+	// scheduling decision.
+	e.lastFoldNano.Store(time.Now().UnixNano())
+	// Epoch rotation shares the admission fold's determinism: it fires at
+	// the first fold boundary at or past EpochPrograms, a pure function
+	// of the schedule.
+	if e.cfg.EpochPrograms > 0 {
+		ep := e.epoch.Load()
+		if e.programsFolded.Load()-ep.startPrograms >= uint64(e.cfg.EpochPrograms) {
+			e.rotateEpoch()
+		}
+	}
+	// Checkpoints fire only here, from the sole corpus-mutating
+	// goroutine, at a fold boundary: the snapshot is a consistent
+	// (corpus, watermark) pair — every slot below the watermark folded,
+	// none above it.
+	if e.cfg.OnCheckpoint != nil {
+		folded := e.programsFolded.Load()
+		fire := e.checkpointReq.Swap(false)
+		if e.cfg.CheckpointPrograms > 0 &&
+			folded-c.lastCheckpoint >= uint64(e.cfg.CheckpointPrograms) {
+			fire = true
+		}
+		if fire {
+			c.lastCheckpoint = folded
+			e.cfg.OnCheckpoint(e.cfg.StartSeed + int64(folded))
+		}
+	}
+	if e.cfg.MutateRatio > 0 {
+		select {
+		case c.foldCh <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// dedup fingerprints candidates. Crash-family findings have stable
+// fingerprints before reduction, so duplicates are dropped here and never
+// reach the (expensive) reducer. Semantic findings are fingerprinted by
+// their *reduced* witness, so they dedup in the report stage instead —
+// capped per (kind, pass) so one hot defect firing on most seeds cannot
+// turn the pipeline into a reducer farm. Candidates arrive from the
+// collector in canonical (round, slot) order, so the program that wins
+// each fingerprint — the one that gets reduced and printed — is
+// deterministic; each survivor is stamped with its position so the
+// report stage can re-sequence findings after parallel reduction
+// scrambles completion order.
+func (r *run) dedup() {
+	defer close(r.redCh)
+	e := r.e
+	seen := map[uint64]bool{}
+	for _, fp := range e.cfg.KnownFindings {
+		// Resume path: crash-family findings an earlier incarnation
+		// already reported dedup here, before the reducer.
+		seen[fp] = true
+	}
+	perPass := map[string]int{}
+	order := int64(0)
+	for f := range r.candCh {
+		var dedupStart time.Time
+		if e.metrics != nil {
+			dedupStart = time.Now()
+		}
+		dup := false
+		if f.Kind == FindingCrash || f.Kind == FindingInvalidTransform {
+			f.Fingerprint = crashFingerprint(f.Kind, f.Pass, f.crashMsg)
+			if seen[f.Fingerprint] {
+				dup = true
+			} else {
+				seen[f.Fingerprint] = true
+			}
+		} else {
+			key := fmt.Sprintf("%d\x00%s", f.Kind, f.Pass)
+			if perPass[key] >= e.cfg.MaxReducePerPass {
+				dup = true
+			} else {
+				perPass[key]++
 			}
 		}
-	}()
-
-	// Stage 5: auto-reduce. Each unique finding is shrunk with a
-	// predicate that re-runs the oracle on every candidate.
-	var redWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		redWG.Add(1)
-		go func() {
-			defer redWG.Done()
-			for f := range redCh {
-				var got Finding
-				reduceStart := time.Now()
-				err, fault, cancelled := supervise(ctx, e.cfg.StageTimeout, func() error {
-					if err := e.injectFault(ctx, "reduce", f.Seed); err != nil {
-						return err
-					}
-					got = e.reduceFinding(ctx, f)
-					return nil
-				})
-				if cancelled {
-					return
-				}
-				if m := e.metrics; m != nil {
-					m.stageDur[stageReduce].ObserveShard(w, time.Since(reduceStart))
-				}
-				out := f
-				if err == nil && fault == nil {
-					out = got
-				} else {
-					// The finding is real — only its shrink failed. Emit
-					// the unreduced witness (ReduceContext never mutates
-					// its input, so f.Program is intact even after an
-					// abandoned stall) and quarantine the fault.
-					if fault != nil {
-						e.quarantine("reduce", f.Seed, f.Origin, f.Program, fault)
-					} else {
-						e.oracleError(f.Seed, err)
-					}
-					if f.Program != nil {
-						out.SizeBefore = reduce.Size(f.Program)
-						out.SizeAfter = out.SizeBefore
-					}
-				}
-				if !send(ctx, outCh, out) {
-					return
-				}
-			}
-		}()
+		if m := e.metrics; m != nil {
+			// Classification only; the (blocking) handoff to the reducer
+			// is backpressure, not dedup latency.
+			m.stageDur[stageDedup].Observe(time.Since(dedupStart))
+		}
+		if dup {
+			e.duplicates.Add(1)
+			continue
+		}
+		f.order = order
+		order++
+		if !send(r.ctx, r.redCh, f) {
+			return
+		}
 	}
-	go func() { redWG.Wait(); close(outCh) }()
+}
 
-	// Stage 6: report. Final fingerprints (semantic findings key on the
-	// reduced witness), final dedup, streaming callback. Reduced findings
-	// complete in whatever order their reductions finish; re-sequencing
-	// by the dedup stamp makes the final dedup — and the report/journal
-	// order — deterministic again. The buffer is bounded by the number of
-	// findings in flight through the reducer pool.
+// reduce shrinks each unique finding with a predicate that re-runs the
+// oracle on every candidate.
+func (r *run) reduce(w int) {
+	e := r.e
+	for f := range r.redCh {
+		var got Finding
+		_, err, fault, cancelled := r.supervised(stageReduce, w, f.Seed, func() error {
+			got = e.reduceFinding(r.ctx, f)
+			return nil
+		})
+		if cancelled {
+			return
+		}
+		out := f
+		if err == nil && fault == nil {
+			out = got
+		} else {
+			// The finding is real — only its shrink failed. Emit the
+			// unreduced witness (ReduceContext never mutates its input, so
+			// f.Program is intact even after an abandoned stall) and
+			// quarantine the fault.
+			if fault != nil {
+				e.quarantine("reduce", f.Seed, f.Origin, f.Program, fault)
+			} else {
+				e.toolError(&e.oracleErrors, f.Seed, err)
+			}
+			if f.Program != nil {
+				out.SizeBefore = reduce.Size(f.Program)
+				out.SizeAfter = out.SizeBefore
+			}
+		}
+		if !send(r.ctx, r.outCh, out) {
+			return
+		}
+	}
+}
+
+// report computes final fingerprints (semantic findings key on the
+// reduced witness), applies the final dedup and streams each unique
+// finding to OnFinding. Reduced findings complete in whatever order their
+// reductions finish; re-sequencing by the dedup stamp makes the final
+// dedup — and the report/journal order — deterministic again. The buffer
+// holds at most the findings in flight through the reducer pool; a
+// cancelled reducer leaves a gap, and the findings past it are dropped —
+// the run is aborting anyway.
+func (r *run) report() []Finding {
+	e := r.e
 	var findings []Finding
 	seen := map[uint64]bool{}
 	for _, fp := range e.cfg.KnownFindings {
@@ -1856,43 +1849,28 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 		// duplicate here, so a resumed daemon never re-reports it.
 		seen[fp] = true
 	}
-	report := func(f Finding) {
-		if f.Kind == FindingMiscompilation || f.Kind == FindingMismatch {
-			f.Fingerprint = semanticFingerprint(f.Kind, f.Pass, f.Program)
-		}
-		if seen[f.Fingerprint] {
-			e.duplicates.Add(1)
-			return
-		}
-		seen[f.Fingerprint] = true
-		e.unique.Add(1)
-		if f.Program != nil {
-			f.Source = printer.Print(f.Program)
-		}
-		if e.cfg.OnFinding != nil {
-			e.cfg.OnFinding(f)
-		}
-		findings = append(findings, f)
-	}
-	reorder := map[int64]Finding{}
-	nextOrder := int64(0)
-	for f := range outCh {
-		reorder[f.order] = f
-		for {
-			g, ok := reorder[nextOrder]
-			if !ok {
-				break
+	buf := inorder.New[Finding](0)
+	for f := range r.outCh {
+		buf.Put(f.order, f)
+		for g, ok := buf.Pop(); ok; g, ok = buf.Pop() {
+			if g.Kind == FindingMiscompilation || g.Kind == FindingMismatch {
+				g.Fingerprint = semanticFingerprint(g.Kind, g.Pass, g.Program)
 			}
-			delete(reorder, nextOrder)
-			nextOrder++
-			report(g)
+			if seen[g.Fingerprint] {
+				e.duplicates.Add(1)
+				continue
+			}
+			seen[g.Fingerprint] = true
+			e.unique.Add(1)
+			if g.Program != nil {
+				g.Source = printer.Print(g.Program)
+			}
+			if e.cfg.OnFinding != nil {
+				e.cfg.OnFinding(g)
+			}
+			findings = append(findings, g)
 		}
 	}
-	// A cancelled reducer leaves a gap in the sequence; findings past it
-	// stay buffered and are dropped here — the run is aborting anyway.
-	// Let the collector fold the final round before Run returns, so the
-	// corpus callers see (save, fingerprint sets) is the finished one.
-	<-collectorDone
 	return findings
 }
 
@@ -1906,8 +1884,10 @@ func send[T any](ctx context.Context, ch chan<- T, v T) bool {
 	}
 }
 
-func (e *Engine) oracleError(seed int64, err error) {
-	e.oracleErrors.Add(1)
+// toolError counts one tool limitation on its stage's counter
+// (compileErrors or oracleErrors) and reports it to OnOracleError.
+func (e *Engine) toolError(stage *atomic.Uint64, seed int64, err error) {
+	stage.Add(1)
 	if e.cfg.OnOracleError != nil {
 		e.cfg.OnOracleError(seed, err)
 	}

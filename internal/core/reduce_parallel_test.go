@@ -27,33 +27,56 @@ func sortedSources(fs []core.Finding) []string {
 // identical across reduction parallelism 1/4/8 and engine worker counts
 // 1/8. The speculative executor commits in canonical candidate order and
 // budgets count serial-equivalent calls only, so speculation must be
-// invisible in everything but wall-clock. Run under -race in CI.
+// invisible in everything but wall-clock. The capped row runs a hot
+// semantic defect far above MaxReducePerPass: the cap drops most
+// candidates, and which ones it keeps must not depend on the worker
+// count either, because dedup sees candidates in canonical (round, slot)
+// order. Run under -race in CI.
 func TestEngineReduceParallelismDeterminism(t *testing.T) {
-	ids := []string{"P4C-C-04", "P4C-C-13", "P4C-S-02"}
-	run := func(workers, par int) ([]string, []string) {
-		cfg := buggyEngineConfig(t, 18, workers, ids...)
-		cfg.ReduceOpts.Parallelism = par
-		fs := core.NewEngine(cfg).Run(context.Background())
-		return fingerprintSet(fs), sortedSources(fs)
+	rows := []struct {
+		name         string
+		ids          []string
+		seeds        int64
+		syncInterval int
+		maxPerPass   int // 0 = engine default
+		workers      []int
+		pars         []int
+	}{
+		{"under-cap", []string{"P4C-C-04", "P4C-C-13", "P4C-S-02"}, 18, 0, 0, []int{1, 8}, []int{1, 4, 8}},
+		{"capped", []string{"P4C-S-02"}, 48, 8, 2, []int{1, 4}, []int{1, 4}},
 	}
-	refFP, refSrc := run(1, 1)
-	if len(refFP) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 18 seeds")
-	}
-	for _, workers := range []int{1, 8} {
-		for _, par := range []int{1, 4, 8} {
-			if workers == 1 && par == 1 {
-				continue
-			}
-			fp, src := run(workers, par)
-			if strings.Join(fp, "\n") != strings.Join(refFP, "\n") {
-				t.Errorf("finding set differs at workers=%d parallelism=%d:\nref:\n  %s\ngot:\n  %s",
-					workers, par, strings.Join(refFP, "\n  "), strings.Join(fp, "\n  "))
-				continue
-			}
-			if strings.Join(src, "\n===\n") != strings.Join(refSrc, "\n===\n") {
-				t.Errorf("reduced witnesses differ at workers=%d parallelism=%d despite equal fingerprints:\n--- ref\n%s\n--- got\n%s",
-					workers, par, strings.Join(refSrc, "\n===\n"), strings.Join(src, "\n===\n"))
+	for _, row := range rows {
+		run := func(workers, par int) ([]string, []string, core.Stats) {
+			cfg := buggyEngineConfig(t, row.seeds, workers, row.ids...)
+			cfg.ReduceOpts.Parallelism = par
+			cfg.SyncInterval = row.syncInterval
+			cfg.MaxReducePerPass = row.maxPerPass
+			e := core.NewEngine(cfg)
+			fs := e.Run(context.Background())
+			return fingerprintSet(fs), sortedSources(fs), e.Stats()
+		}
+		refFP, refSrc, refStats := run(row.workers[0], row.pars[0])
+		if len(refFP) == 0 {
+			t.Fatalf("%s: no findings: the seeded defects should fire within %d seeds", row.name, row.seeds)
+		}
+		if row.maxPerPass > 0 && refStats.Miscompilations <= uint64(row.maxPerPass) {
+			t.Fatalf("%s: %d miscompilations never exceed the cap of %d", row.name, refStats.Miscompilations, row.maxPerPass)
+		}
+		for _, workers := range row.workers {
+			for _, par := range row.pars {
+				if workers == row.workers[0] && par == row.pars[0] {
+					continue
+				}
+				fp, src, _ := run(workers, par)
+				if strings.Join(fp, "\n") != strings.Join(refFP, "\n") {
+					t.Errorf("%s: finding set differs at workers=%d parallelism=%d:\nref:\n  %s\ngot:\n  %s",
+						row.name, workers, par, strings.Join(refFP, "\n  "), strings.Join(fp, "\n  "))
+					continue
+				}
+				if strings.Join(src, "\n===\n") != strings.Join(refSrc, "\n===\n") {
+					t.Errorf("%s: reduced witnesses differ at workers=%d parallelism=%d despite equal fingerprints:\n--- ref\n%s\n--- got\n%s",
+						row.name, workers, par, strings.Join(refSrc, "\n===\n"), strings.Join(src, "\n===\n"))
+				}
 			}
 		}
 	}
@@ -123,30 +146,5 @@ func TestEngineOracleEnergyDeterminism(t *testing.T) {
 	}
 	if m1 != m8 {
 		t.Errorf("miscompilation count differs across worker counts: %d vs %d", m1, m8)
-	}
-}
-
-// TestEnginePrewarmInvariance: epoch-cache pre-warming is cost-only. The
-// finding set for a rotating run must be identical with warming disabled,
-// at the default width, and warming the whole corpus.
-func TestEnginePrewarmInvariance(t *testing.T) {
-	run := func(prewarm int) []string {
-		cfg := buggyEngineConfig(t, 24, 4, "P4C-C-04", "P4C-S-02")
-		cfg.Seed = 11
-		cfg.MutateRatio = 0.5
-		cfg.SyncInterval = 8
-		cfg.EpochPrograms = 8
-		cfg.PrewarmSeeds = prewarm
-		return fingerprintSet(core.NewEngine(cfg).Run(context.Background()))
-	}
-	ref := run(-1) // disabled
-	if len(ref) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 24 seeds")
-	}
-	for _, prewarm := range []int{8, 64} {
-		if got := run(prewarm); strings.Join(got, "\n") != strings.Join(ref, "\n") {
-			t.Errorf("finding set differs with PrewarmSeeds=%d:\nref:\n  %s\ngot:\n  %s",
-				prewarm, strings.Join(ref, "\n  "), strings.Join(got, "\n  "))
-		}
 	}
 }

@@ -273,32 +273,6 @@ func (c *Corpus) Select(r *rand.Rand) *Seed {
 	return c.seeds[len(c.seeds)-1] // float drift: fall back to the last
 }
 
-// TopEnergy returns the programs of the n highest-energy live seeds,
-// ordered by energy descending with admission ID as the tie-break — a
-// pure function of corpus state, so every worker count sees the same
-// list at the same fold point. The engine's epoch rotation uses it to
-// pre-warm a fresh validation cache with the seeds most likely to be
-// scheduled next.
-func (c *Corpus) TopEnergy(n int) []*ast.Program {
-	c.mu.Lock()
-	seeds := append([]*Seed(nil), c.seeds...)
-	c.mu.Unlock()
-	sort.Slice(seeds, func(i, j int) bool {
-		if seeds[i].Energy != seeds[j].Energy {
-			return seeds[i].Energy > seeds[j].Energy
-		}
-		return seeds[i].ID < seeds[j].ID
-	})
-	if n > len(seeds) {
-		n = len(seeds)
-	}
-	out := make([]*ast.Program, 0, n)
-	for _, s := range seeds[:n] {
-		out = append(out, s.Program)
-	}
-	return out
-}
-
 // Len returns the current number of seeds.
 func (c *Corpus) Len() int {
 	c.mu.Lock()

@@ -2,7 +2,6 @@ package corpus
 
 import (
 	"fmt"
-	"sync"
 
 	"gauntlet/internal/coverage"
 	"gauntlet/internal/p4/parser"
@@ -89,61 +88,4 @@ func (c *Corpus) ApplyDelta(d *Delta) error {
 	c.rejected += d.Rejected
 	c.mu.Unlock()
 	return nil
-}
-
-// DeltaSet folds shard deltas into a target corpus in canonical lease
-// order regardless of arrival order: out-of-order deltas buffer until the
-// contiguous prefix reaches them, and a delta for an already-folded lease
-// is ignored. Because application order is a function of the lease index
-// alone, the merge is commutative and associative over arrival order, and
-// re-offering a lease's delta is idempotent — the properties that make
-// at-least-once shard replay safe.
-type DeltaSet struct {
-	mu      sync.Mutex
-	target  *Corpus
-	next    int64
-	pending map[int64]*Delta
-}
-
-// NewDeltaSet returns an accumulator folding into target from lease
-// index next — 0 for a fresh campaign, the resume watermark lease for a
-// resumed one (whose prior leases are already folded into target via the
-// checkpoint snapshot).
-func NewDeltaSet(target *Corpus, next int64) *DeltaSet {
-	return &DeltaSet{target: target, next: next, pending: make(map[int64]*Delta)}
-}
-
-// Offer presents lease's delta. It folds the delta — and any buffered
-// successors it unblocks — when lease is the next index in canonical
-// order, buffers it when it is early, and drops it when that lease has
-// already folded (shard replay produces byte-identical deltas, so
-// dropping loses nothing). Safe for concurrent use.
-func (s *DeltaSet) Offer(lease int64, d *Delta) error {
-	if d == nil {
-		return fmt.Errorf("corpus delta set: nil delta for lease %d", lease)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lease < s.next {
-		return nil // already folded: at-least-once replay
-	}
-	s.pending[lease] = d
-	for {
-		nd, ok := s.pending[s.next]
-		if !ok {
-			return nil
-		}
-		if err := s.target.ApplyDelta(nd); err != nil {
-			return err
-		}
-		delete(s.pending, s.next)
-		s.next++
-	}
-}
-
-// Applied reports how many leases have folded (the contiguous prefix).
-func (s *DeltaSet) Applied() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
 }

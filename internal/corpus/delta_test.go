@@ -3,12 +3,12 @@ package corpus_test
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/coverage"
 	"gauntlet/internal/generator"
+	"gauntlet/internal/inorder"
 	"gauntlet/internal/p4/ast"
 )
 
@@ -61,12 +61,32 @@ func corpusKey(c *corpus.Corpus) string {
 	return fmt.Sprintf("fps=%v stats=%+v", c.Fingerprints(), c.Stats())
 }
 
-// TestDeltaMergeMatchesSingleFold: folding shard deltas through a
-// DeltaSet must reproduce the single-process corpus exactly — seed set,
-// fingerprints, and every lifetime counter including rejections — for any
-// shard count, any arrival order, and with duplicated deliveries
-// (at-least-once replay). This is the fleet merge's correctness property:
-// arrival order cannot change the merged corpus.
+// mergeInOrder is the fleet coordinator's merge: deltas arrive in any
+// order, possibly more than once, through an in-order buffer starting at
+// lease next, and fold into target with ApplyDelta in lease order.
+func mergeInOrder(t *testing.T, target *corpus.Corpus, next int64, arrivals []int, deltas []*corpus.Delta) {
+	t.Helper()
+	buf := inorder.New[*corpus.Delta](next)
+	for _, lease := range arrivals {
+		buf.Put(int64(lease), deltas[lease])
+		for d, ok := buf.Pop(); ok; d, ok = buf.Pop() {
+			if err := target.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if buf.Next() != int64(len(deltas)) {
+		t.Fatalf("arrivals %v: %d of %d leases folded", arrivals, buf.Next(), len(deltas))
+	}
+}
+
+// TestDeltaMergeMatchesSingleFold: applying shard deltas in lease order
+// must reproduce the single-process corpus exactly — seed set,
+// fingerprints, and every lifetime counter including rejections — for
+// any arrival order, with duplicated deliveries (at-least-once replay),
+// and after a resume that starts the merge from a checkpointed corpus.
+// This is the fleet merge's correctness property: arrival order cannot
+// change the merged corpus.
 func TestDeltaMergeMatchesSingleFold(t *testing.T) {
 	const n, leaseLen, maxSeeds = 96, 12, 6
 	inputs := makeInputs(n)
@@ -96,23 +116,29 @@ func TestDeltaMergeMatchesSingleFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
 		order := rng.Perm(len(deltas))
-		merged := corpus.New(maxSeeds)
-		set := corpus.NewDeltaSet(merged, 0)
+		// Every delivery repeats (at-least-once).
+		var arrivals []int
 		for _, lease := range order {
-			if err := set.Offer(int64(lease), deltas[lease]); err != nil {
-				t.Fatal(err)
-			}
-			// Idempotence: every delivery repeats (at-least-once).
-			if err := set.Offer(int64(lease), deltas[lease]); err != nil {
-				t.Fatal(err)
-			}
+			arrivals = append(arrivals, lease, lease)
 		}
-		if got := set.Applied(); got != int64(len(deltas)) {
-			t.Fatalf("trial %d (order %v): %d of %d leases folded", trial, order, got, len(deltas))
-		}
+		merged := corpus.New(maxSeeds)
+		mergeInOrder(t, merged, 0, arrivals, deltas)
 		if got := corpusKey(merged); got != want {
 			t.Errorf("trial %d (order %v): merged corpus diverges from single fold:\nwant %s\ngot  %s", trial, order, want, got)
 		}
+	}
+
+	// Resume: the checkpoint holds leases 0 and 1; the resumed merge
+	// starts at lease 2 and sees every lease replayed, in reverse.
+	resumed := corpus.New(maxSeeds)
+	mergeInOrder(t, resumed, 0, []int{0, 1}, deltas[:2])
+	var replay []int
+	for i := len(deltas) - 1; i >= 0; i-- {
+		replay = append(replay, i)
+	}
+	mergeInOrder(t, resumed, 2, replay, deltas)
+	if got := corpusKey(resumed); got != want {
+		t.Errorf("resumed merge diverges from single fold:\nwant %s\ngot  %s", want, got)
 	}
 }
 
@@ -125,9 +151,8 @@ func TestDeltaMergeShardCountInvariant(t *testing.T) {
 	for _, leaseLen := range []int{n, n / 4, n / 8} {
 		deltas := shardDeltas(inputs, leaseLen, maxSeeds)
 		merged := corpus.New(maxSeeds)
-		set := corpus.NewDeltaSet(merged, 0)
-		for i, d := range deltas {
-			if err := set.Offer(int64(i), d); err != nil {
+		for _, d := range deltas {
+			if err := merged.ApplyDelta(d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -136,68 +161,5 @@ func TestDeltaMergeShardCountInvariant(t *testing.T) {
 		if got, want := corpusKey(merged), corpusKey(ref); got != want {
 			t.Errorf("leaseLen %d: merged corpus diverges:\nwant %s\ngot  %s", leaseLen, want, got)
 		}
-	}
-}
-
-// TestDeltaSetConcurrent: concurrent Offer calls — the coordinator's
-// connection handlers racing — must still fold in canonical order (run
-// under -race in CI).
-func TestDeltaSetConcurrent(t *testing.T) {
-	const n, leaseLen, maxSeeds = 96, 8, 6
-	inputs := makeInputs(n)
-	deltas := shardDeltas(inputs, leaseLen, maxSeeds)
-	ref := corpus.New(maxSeeds)
-	fold(ref, inputs)
-	want := corpusKey(ref)
-
-	merged := corpus.New(maxSeeds)
-	set := corpus.NewDeltaSet(merged, 0)
-	var wg sync.WaitGroup
-	for i, d := range deltas {
-		wg.Add(1)
-		go func(lease int64, d *corpus.Delta) {
-			defer wg.Done()
-			if err := set.Offer(lease, d); err != nil {
-				t.Error(err)
-			}
-		}(int64(i), d)
-	}
-	wg.Wait()
-	if got := set.Applied(); got != int64(len(deltas)) {
-		t.Fatalf("%d of %d leases folded", got, len(deltas))
-	}
-	if got := corpusKey(merged); got != want {
-		t.Errorf("concurrent merge diverges:\nwant %s\ngot  %s", want, got)
-	}
-}
-
-// TestDeltaSetResumeStart: a DeltaSet started at a resume watermark must
-// ignore replays of already-folded leases and fold from the watermark on.
-func TestDeltaSetResumeStart(t *testing.T) {
-	const n, leaseLen, maxSeeds = 48, 12, 6
-	inputs := makeInputs(n)
-	deltas := shardDeltas(inputs, leaseLen, maxSeeds)
-
-	// The "checkpoint": leases 0 and 1 already folded.
-	resumed := corpus.New(maxSeeds)
-	set0 := corpus.NewDeltaSet(resumed, 0)
-	for i := 0; i < 2; i++ {
-		if err := set0.Offer(int64(i), deltas[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	set := corpus.NewDeltaSet(resumed, 2)
-	for i := len(deltas) - 1; i >= 0; i-- { // replay everything, reversed
-		if err := set.Offer(int64(i), deltas[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := set.Applied(); got != int64(len(deltas)) {
-		t.Fatalf("%d of %d leases folded after resume", got, len(deltas))
-	}
-	ref := corpus.New(maxSeeds)
-	fold(ref, inputs)
-	if got, want := corpusKey(resumed), corpusKey(ref); got != want {
-		t.Errorf("resumed merge diverges:\nwant %s\ngot  %s", want, got)
 	}
 }

@@ -80,7 +80,6 @@ type Coordinator struct {
 	cfg    CoordinatorConfig
 	table  *leaseTable
 	corpus *corpus.Corpus
-	deltas *corpus.DeltaSet
 
 	// releaseMu serializes the pop-and-process of releasable results so
 	// lease k's findings are always emitted before lease k+1's.
@@ -135,7 +134,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if c.corpus == nil {
 		c.corpus = corpus.New(cfg.Run.MaxCorpus)
 	}
-	c.deltas = corpus.NewDeltaSet(c.corpus, c.table.watermark())
 	for _, fp := range cfg.KnownFindings {
 		c.dedup[fp] = struct{}{}
 	}
@@ -329,6 +327,11 @@ func (c *Coordinator) HandleConn(ctx context.Context, conn io.ReadWriteCloser) e
 			if env.Result == nil {
 				return fmt.Errorf("fleet: result frame without payload")
 			}
+			if env.Result.Delta == nil {
+				// Every lease ships a delta, if only an empty one; a
+				// result without one would fold a hole into the corpus.
+				return fmt.Errorf("fleet: result frame for lease %d without corpus delta", env.Result.LeaseID)
+			}
 			accepted, latency := c.completeLease(env.Result)
 			if accepted {
 				c.leaseLatency(env.Result.Worker, latency)
@@ -390,10 +393,8 @@ func (c *Coordinator) release() {
 				c.cfg.OnFinding(f)
 			}
 		}
-		if res.Delta != nil {
-			if err := c.deltas.Offer(res.LeaseID, res.Delta); err != nil && c.relErr == nil {
-				c.relErr = fmt.Errorf("fleet: corpus delta: %w", err)
-			}
+		if err := c.corpus.ApplyDelta(res.Delta); err != nil && c.relErr == nil {
+			c.relErr = fmt.Errorf("fleet: corpus delta: %w", err)
 		}
 		c.totals.Generated += res.Stats.Generated
 		c.totals.Crashes += res.Stats.Crashes

@@ -3,36 +3,39 @@ package fleet
 import (
 	"sync"
 	"time"
+
+	"gauntlet/internal/inorder"
 )
 
-// leaseStatus is one lease's lifecycle position.
+// leaseStatus is an unreleased lease's lifecycle position (every lease
+// below the results watermark is released).
 type leaseStatus int
 
 const (
-	leasePending  leaseStatus = iota // waiting to be issued (or re-issued)
-	leaseIssued                      // held by a worker, expiry clock running
-	leaseDone                        // a result arrived (first one wins)
-	leaseReleased                    // result released past the watermark
+	leasePending leaseStatus = iota // waiting to be issued (or re-issued)
+	leaseIssued                     // held by a worker, expiry clock running
+	leaseDone                       // a result arrived (first one wins)
 )
 
 // leaseTable owns the campaign's slot partition: every lease's bounds,
-// status and issue time, plus the completed-prefix watermark. It is the
-// single synchronization point between connection handlers (acquire /
-// complete / fail), the expiry janitor and the release path; the
-// determinism argument needs exactly one property from it — results
-// release strictly in lease-ID order — which releasable() enforces by
-// construction.
+// status and issue time, plus the completed results behind the
+// watermark. It is the single synchronization point between connection
+// handlers (acquire / complete / fail), the expiry janitor and the
+// release path; the determinism argument needs exactly one property from
+// it — results release strictly in lease-ID order — which the in-order
+// results buffer enforces by construction.
 type leaseTable struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	leases  []Lease
-	status  []leaseStatus
-	issued  []time.Time // issue timestamp, per lease (valid when leaseIssued)
-	holder  []string    // issuing worker name (observability only)
-	results []*Result   // first result, per lease (valid from leaseDone on)
+	leases []Lease
+	status []leaseStatus
+	issued []time.Time // issue timestamp, per lease (valid when leaseIssued)
+	holder []string    // issuing worker name (observability only)
+	// results holds each lease's first result until it releases; its
+	// watermark is the first unreleased lease ID.
+	results *inorder.Buffer[*Result]
 
-	released int64 // first lease ID not yet released (== the watermark lease)
 	reissued uint64
 	closed   bool
 }
@@ -55,13 +58,12 @@ func newLeaseTable(start, seeds, leaseSlots, resumeWatermark int64) *leaseTable 
 		t.status = append(t.status, leasePending)
 		t.issued = append(t.issued, time.Time{})
 		t.holder = append(t.holder, "")
-		t.results = append(t.results, nil)
 	}
-	for t.released < int64(len(t.leases)) &&
-		t.leases[t.released].Start+t.leases[t.released].Count <= resumeWatermark {
-		t.status[t.released] = leaseReleased
-		t.released++
+	released := int64(0)
+	for released < t.total() && t.leases[released].Start+t.leases[released].Count <= resumeWatermark {
+		released++
 	}
+	t.results = inorder.New[*Result](released)
 	return t
 }
 
@@ -76,10 +78,10 @@ func (t *leaseTable) acquire(worker string) (Lease, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for {
-		if t.closed || t.released >= t.total() {
+		if t.closed || t.results.Next() >= t.total() {
 			return Lease{}, false
 		}
-		for id := t.released; id < t.total(); id++ {
+		for id := t.results.Next(); id < t.total(); id++ {
 			if t.status[id] == leasePending {
 				t.status[id] = leaseIssued
 				t.issued[id] = time.Now()
@@ -99,11 +101,10 @@ func (t *leaseTable) complete(res *Result) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	id := res.LeaseID
-	if id < 0 || id >= t.total() || t.status[id] == leaseDone || t.status[id] == leaseReleased {
+	if id >= t.total() || !t.results.Put(id, res) {
 		return false
 	}
 	t.status[id] = leaseDone
-	t.results[id] = res
 	t.cond.Broadcast()
 	return true
 }
@@ -116,13 +117,10 @@ func (t *leaseTable) releasable() []*Result {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []*Result
-	for t.released < t.total() && t.status[t.released] == leaseDone {
-		out = append(out, t.results[t.released])
-		t.status[t.released] = leaseReleased
-		t.results[t.released] = nil // release the findings' memory
-		t.released++
+	for res, ok := t.results.Pop(); ok; res, ok = t.results.Pop() {
+		out = append(out, res)
 	}
-	if t.released >= t.total() {
+	if t.results.Next() >= t.total() {
 		t.cond.Broadcast() // wake acquirers so they see the drain
 	}
 	return out
@@ -132,7 +130,7 @@ func (t *leaseTable) releasable() []*Result {
 func (t *leaseTable) watermark() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.released
+	return t.results.Next()
 }
 
 // expire returns every issued lease older than deadline to the pending
@@ -142,7 +140,7 @@ func (t *leaseTable) expire(deadline time.Time) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for id := t.released; id < t.total(); id++ {
+	for id := t.results.Next(); id < t.total(); id++ {
 		if t.status[id] == leaseIssued && t.issued[id].Before(deadline) {
 			t.status[id] = leasePending
 			t.holder[id] = ""
@@ -163,7 +161,7 @@ func (t *leaseTable) fail(worker string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for id := t.released; id < t.total(); id++ {
+	for id := t.results.Next(); id < t.total(); id++ {
 		if t.status[id] == leaseIssued && t.holder[id] == worker {
 			t.status[id] = leasePending
 			t.holder[id] = ""
@@ -190,10 +188,10 @@ func (t *leaseTable) close() {
 func (t *leaseTable) snapshot() (total, released, inflight int64, reissued uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for id := t.released; id < t.total(); id++ {
+	for id := t.results.Next(); id < t.total(); id++ {
 		if t.status[id] == leaseIssued {
 			inflight++
 		}
 	}
-	return t.total(), t.released, inflight, t.reissued
+	return t.total(), t.results.Next(), inflight, t.reissued
 }

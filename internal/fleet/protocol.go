@@ -26,10 +26,10 @@
 //     completed-prefix watermark, re-deduplicating by the stable finding
 //     fingerprints, so the surviving representative of every fingerprint
 //     is the global first occurrence — the same program, and therefore
-//     the same reduced witness bytes, the single process keeps. (As in
-//     the single process, this holds in the under-MaxReducePerPass-cap
-//     regime; the cap is per-engine, so a fleet run reduces candidates a
-//     capped single process would have dropped.)
+//     the same reduced witness bytes, the single process keeps. (This
+//     holds in the under-MaxReducePerPass-cap regime: the cap is per
+//     lease, so a fleet run reduces candidates a capped single process
+//     would have dropped.)
 //
 // Worker loss, hang or kill -9 is handled by lease expiry and re-issue:
 // results are deterministic, so a lease completed twice yields identical

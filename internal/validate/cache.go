@@ -9,7 +9,6 @@ import (
 
 	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/printer"
-	"gauntlet/internal/p4/types"
 	"gauntlet/internal/smt"
 	"gauntlet/internal/smt/solver"
 	"gauntlet/internal/sym"
@@ -169,41 +168,6 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.ConcolicPackets += o.ConcolicPackets
 	s.ReplayHits += o.ReplayHits
 	s.SolverFallbacks += o.SolverFallbacks
-}
-
-// Warm pre-computes and memoizes the block formulas of prog's parser and
-// control declarations, re-interning their terms into the cache's
-// context. The engine calls it right after an epoch rotation with the
-// corpus' top-energy seeds — the programs most likely to be scheduled
-// next — so post-rotation validation latency doesn't dip while the
-// fresh, empty cache re-derives formulas it is about to need anyway.
-// Warming is cost-only: a formula computed here is byte-for-byte the one
-// a later validation would compute on miss (terms are hash-consed in the
-// same context), so verdicts never change. Returns how many block
-// formulas were computed; ill-typed or symbolically unsupported blocks
-// are skipped, not errors.
-func (c *Cache) Warm(prog *ast.Program) int {
-	if prog == nil {
-		return 0
-	}
-	// sym execution needs resolved types, and corpus programs are stored
-	// unchecked (admission clones before checking); check a private clone
-	// so the shared seed AST is never mutated.
-	p := ast.CloneProgram(prog)
-	if types.Check(p) != nil {
-		return 0
-	}
-	consts := contextKey(p)
-	n := 0
-	for _, d := range p.Decls {
-		switch d.(type) {
-		case *ast.ControlDecl, *ast.ParserDecl:
-			if _, err := c.blockForm(p, consts, d); err == nil {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // contextKey hashes every top-level declaration a block's formula can
