@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/exec"
@@ -12,12 +11,10 @@ import (
 	"syscall"
 	"time"
 
-	"gauntlet/internal/bugs"
 	"gauntlet/internal/core"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/fleet"
 	"gauntlet/internal/obs"
-	"gauntlet/internal/persist"
 )
 
 // fleetFlags carries the coordinator/worker-specific flags; the shared
@@ -41,6 +38,11 @@ func listenAddr(addr string) (network, address string) {
 	return "tcp", addr
 }
 
+// logf prints a fleet progress line on stderr.
+func logf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+}
+
 // fleetStatusz is the coordinator's /statusz document.
 type fleetStatusz struct {
 	Mode    string            `json:"mode"`
@@ -51,11 +53,10 @@ type fleetStatusz struct {
 	Corpus  corpus.Stats      `json:"corpus"`
 }
 
-// fleetRunConfig translates the shared fuzz flags into the wire config
-// every worker receives. Fleet campaigns are pure-generation by
-// construction (lease replay must not depend on cross-lease corpus
-// state), so an explicit -mutate-ratio > 0 is refused rather than
-// silently ignored.
+// fleetRunConfig is runConfig for coordinator mode. Fleet campaigns are
+// pure-generation by construction (lease replay must not depend on
+// cross-lease corpus state), so an explicit -mutate-ratio > 0 is refused
+// rather than silently ignored.
 func fleetRunConfig(ff fuzzFlags) (fleet.RunConfig, error) {
 	if ff.explicit["mutate-ratio"] && ff.mutateRatio > 0 {
 		return fleet.RunConfig{}, fmt.Errorf("-mutate-ratio %g is incompatible with fleet mode: leases replay as pure functions of their seeds, which mutation's cross-lease corpus dependence breaks", ff.mutateRatio)
@@ -63,55 +64,28 @@ func fleetRunConfig(ff fuzzFlags) (fleet.RunConfig, error) {
 	if ff.epochPrograms > 0 {
 		return fleet.RunConfig{}, fmt.Errorf("-epoch-programs is incompatible with fleet mode: workers run one bounded engine per lease, so memory is bounded by the lease length instead")
 	}
-	run := fleet.RunConfig{
-		Seed:            ff.seed,
-		Backend:         ff.backend,
-		EngineWorkers:   ff.workers,
-		PacketTests:     ff.packets,
-		ConcolicOff:     !ff.concolic,
-		Reduce:          ff.reduce,
-		StageTimeoutMs:  ff.stageTimeout.Milliseconds(),
-		OracleTimeoutMs: ff.oracleTimeout.Milliseconds(),
-		Defects:         splitDefects(ff.defects),
-	}
-	// Validate the defect list here, not first on a worker: a typo should
-	// fail the coordinator at startup.
-	reg := bugs.Load()
-	for _, id := range run.Defects {
-		if reg.ByID(id) == nil {
-			return fleet.RunConfig{}, fmt.Errorf("-defects: registry has no bug %q", id)
-		}
+	run := runConfig(ff)
+	// Translate once here, as every worker will: a bad backend or defect
+	// list fails the coordinator at startup, not first on a worker.
+	if _, err := run.EngineConfig(); err != nil {
+		return fleet.RunConfig{}, err
 	}
 	return run, nil
-}
-
-func splitDefects(list string) []string {
-	var out []string
-	for _, id := range strings.Split(list, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // coordinatorMain runs the fleet coordinator: shard the seed budget into
 // leases, serve them to workers, merge results in canonical order, own
 // the journal/checkpoint, optionally fork a local worker fleet.
 func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: "+format+"\n", args...)
-		os.Exit(2)
-	}
 	if fl.listen == "" {
-		fail("coordinator mode requires -listen ADDR (host:port or a socket path)")
+		die(2, "coordinator mode requires -listen ADDR (host:port or a socket path)")
 	}
 	if ff.seeds <= 0 {
-		fail("coordinator mode requires a bounded -seeds budget")
+		die(2, "coordinator mode requires a bounded -seeds budget")
 	}
 	run, err := fleetRunConfig(ff)
 	if err != nil {
-		fail("%v", err)
+		die(2, "%v", err)
 	}
 
 	cfg := fleet.CoordinatorConfig{
@@ -120,119 +94,47 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 		Seeds:        ff.seeds,
 		LeaseSlots:   fl.leaseSlots,
 		LeaseTimeout: fl.leaseTimeout,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
+		Logf:         logf,
 	}
 
 	// Durable state and resume, the serve-mode discipline with the
 	// coordinator as the single persistence owner: journal write-ahead
-	// happens inside the release path, so only resume restoration and the
-	// contradiction checks live here.
-	dir := ff.stateDir
-	if ff.resumeDir != "" {
-		if dir != "" && dir != ff.resumeDir {
-			fail("-state and -resume point at different directories")
-		}
-		dir = ff.resumeDir
-	}
-	if dir != "" {
-		st, err := persist.Open(dir)
-		if err != nil {
-			fail("state: %v", err)
-		}
+	// happens inside the release path, so only resume restoration lives
+	// here.
+	if st := openState(ff); st != nil {
 		defer st.Close()
-		cfg.State = st
-		if ff.resumeDir != "" {
-			cp, err := st.LoadCheckpoint()
-			if err != nil {
-				fail("resume: %v", err)
-			}
-			if cp != nil {
-				if ff.explicit["seed"] && run.Seed != cp.Seed {
-					fail("resume: -seed %d contradicts checkpoint seed %d", run.Seed, cp.Seed)
-				}
-				cfg.Run.Seed = cp.Seed
-				cfg.ResumeWatermark = cp.NextSlot
-				if cp.Corpus != nil {
-					c, err := corpus.FromSnapshot(cp.Corpus)
-					if err != nil {
-						fail("resume: corpus: %v", err)
-					}
-					cfg.Corpus = c
-				}
-			}
-			known, nrec, err := st.KnownFindings()
-			if err != nil {
-				fail("resume: journal: %v", err)
-			}
-			cfg.KnownFindings = known
-			fmt.Fprintf(os.Stderr, "resume: watermark slot %d, %d journaled findings pre-seeding dedup\n",
-				cfg.ResumeWatermark, nrec)
+		cfg.State = st.State
+		if cp := st.cp; cp != nil {
+			cfg.Run.Seed, cfg.ResumeWatermark = cp.Seed, cp.NextSlot
 		}
+		cfg.Corpus, cfg.KnownFindings = st.corpus, st.known
 	}
 
-	// Findings stream: human line to stderr, JSONL record to the sink —
-	// the fuzz-mode shape with the coordinator as the single emitter.
-	var sink io.Writer
-	switch ff.jsonl {
-	case "":
-	case "-":
-		sink = os.Stdout
-	default:
-		f, err := os.OpenFile(ff.jsonl, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fail("%v", err)
-		}
-		defer f.Close()
-		sink = f
-	}
-	jw := newJSONLWriter(sink, func(what string, err error) {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: jsonl %s record lost: %v\n", what, err)
-	})
-	cfg.OnFinding = func(f core.Finding) {
-		fmt.Fprintf(os.Stderr, "seed %d: %s", f.Seed, f.Kind)
-		if f.Pass != "" {
-			fmt.Fprintf(os.Stderr, " in %s", f.Pass)
-		}
-		if f.SizeBefore != f.SizeAfter {
-			fmt.Fprintf(os.Stderr, " (witness reduced %d -> %d stmts)", f.SizeBefore, f.SizeAfter)
-		}
-		fmt.Fprintf(os.Stderr, ": %s\n", f.Detail)
-		jw.write(f, fmt.Sprintf("finding (seed %d)", f.Seed))
-	}
+	// Findings stream as in fuzz mode, with the coordinator as the single
+	// emitter and the human line on stderr.
+	jw, closeJSONL := openJSONL(ff.jsonl, nil)
+	defer closeJSONL()
+	cfg.OnFinding = func(f core.Finding) { reportFinding(os.Stderr, jw, f) }
 
 	if ff.httpAddr != "" {
 		cfg.Obs = obs.NewRegistry()
 	}
 	coord, err := fleet.NewCoordinator(cfg)
 	if err != nil {
-		fail("%v", err)
+		die(2, "%v", err)
 	}
-
-	if ff.httpAddr != "" {
-		started := time.Now()
-		admin, err := obs.StartAdmin(ff.httpAddr, obs.AdminConfig{
-			Metrics: cfg.Obs,
-			Health:  coord.Health,
-			Status: func() any {
-				return fleetStatusz{
-					Mode: "coordinator", PID: os.Getpid(),
-					Started: started, Now: time.Now(),
-					Fleet: coord.Status(), Corpus: coord.Corpus().Stats(),
-				}
-			},
-		})
-		if err != nil {
-			fail("%v", err)
-		}
-		defer func() {
-			sdCtx, sdCancel := context.WithTimeout(context.Background(), 3*time.Second)
-			admin.Shutdown(sdCtx)
-			sdCancel()
-		}()
-		fmt.Fprintf(os.Stderr, "admin: serving /metrics /statusz /healthz /debug/pprof on http://%s\n", admin.Addr())
-	}
+	started := time.Now()
+	stopAdmin := startAdmin(ff.httpAddr, obs.AdminConfig{
+		Metrics: cfg.Obs,
+		Health:  coord.Health,
+		Status: func() any {
+			return fleetStatusz{
+				Mode: "coordinator", PID: os.Getpid(),
+				Started: started, Now: time.Now(),
+				Fleet: coord.Status(), Corpus: coord.Corpus().Stats(),
+			}
+		},
+	})
 
 	network, address := listenAddr(fl.listen)
 	if network == "unix" {
@@ -240,7 +142,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 	}
 	ln, err := net.Listen(network, address)
 	if err != nil {
-		fail("listen: %v", err)
+		die(2, "listen: %v", err)
 	}
 	if network == "unix" {
 		defer os.Remove(address)
@@ -259,7 +161,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 	if fl.forkWorkers > 0 {
 		self, err := os.Executable()
 		if err != nil {
-			fail("fork workers: %v", err)
+			die(2, "fork workers: %v", err)
 		}
 		for i := 0; i < fl.forkWorkers; i++ {
 			cmd := exec.CommandContext(ctx, self,
@@ -269,7 +171,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 			cmd.Stdout = os.Stderr
 			cmd.Stderr = os.Stderr
 			if err := cmd.Start(); err != nil {
-				fail("fork worker %d: %v", i, err)
+				die(2, "fork worker %d: %v", i, err)
 			}
 			forked = append(forked, cmd)
 		}
@@ -280,13 +182,12 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 	for _, cmd := range forked {
 		cmd.Wait() // drained workers exit on their own; reap them
 	}
+	stopAdmin()
 	if serveErr != nil {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: fleet: %v\n", serveErr)
-		os.Exit(1)
+		die(1, "fleet: %v", serveErr)
 	}
 	if err := coord.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "p4gauntlet: fleet: %v\n", err)
-		os.Exit(1)
+		die(1, "fleet: %v", err)
 	}
 	findings := coord.Findings()
 	st := coord.Status()
@@ -325,12 +226,7 @@ func workerMain(fl fleetFlags) {
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", os.Getpid())
 	}
-	wcfg := fleet.WorkerConfig{
-		Name: name,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	}
+	wcfg := fleet.WorkerConfig{Name: name, Logf: logf}
 	if err := fleet.RunWorker(ctx, conn, wcfg); err != nil && ctx.Err() == nil {
 		fmt.Fprintf(os.Stderr, "p4gauntlet: worker: %v\n", err)
 		os.Exit(1)

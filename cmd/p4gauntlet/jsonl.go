@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync"
+
+	"gauntlet/internal/core"
 )
 
 // jsonlWriter serializes JSON-line records from concurrent producers
@@ -37,4 +40,46 @@ func (jw *jsonlWriter) write(v any, what string) {
 	if err != nil && jw.onDrop != nil {
 		jw.onDrop(what, err)
 	}
+}
+
+// openJSONL opens the -jsonl sink ("" = none, "-" = stdout, otherwise a
+// file appended to) and returns its writer and the function that closes
+// it. A lost record is logged, and also counted by dropped when set.
+func openJSONL(path string, dropped func()) (*jsonlWriter, func()) {
+	var sink io.Writer
+	closeSink := func() {}
+	switch path {
+	case "":
+	case "-":
+		sink = os.Stdout
+	default:
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			die(1, "%v", err)
+		}
+		sink, closeSink = f, func() { f.Close() }
+	}
+	return newJSONLWriter(sink, func(what string, err error) {
+		if dropped != nil {
+			dropped()
+		}
+		fmt.Fprintf(os.Stderr, "p4gauntlet: jsonl %s record lost: %v\n", what, err)
+	}), closeSink
+}
+
+// reportFinding prints a finding's human line to human and appends its
+// JSONL record.
+func reportFinding(human io.Writer, jw *jsonlWriter, f core.Finding) {
+	fmt.Fprintf(human, "seed %d: %s", f.Seed, f.Kind)
+	if f.Pass != "" {
+		fmt.Fprintf(human, " in %s", f.Pass)
+	}
+	if f.Origin == "mutate" {
+		fmt.Fprintf(human, " [mutant]")
+	}
+	if f.SizeBefore != f.SizeAfter {
+		fmt.Fprintf(human, " (witness reduced %d -> %d stmts)", f.SizeBefore, f.SizeAfter)
+	}
+	fmt.Fprintf(human, ": %s\n", f.Detail)
+	jw.write(f, fmt.Sprintf("finding (seed %d)", f.Seed))
 }

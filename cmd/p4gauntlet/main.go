@@ -75,6 +75,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -85,118 +86,115 @@ import (
 	"syscall"
 	"time"
 
-	"gauntlet/internal/bugs"
-	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/faultinject"
-	"gauntlet/internal/generator"
 	"gauntlet/internal/obs"
 	"gauntlet/internal/persist"
 )
 
 func main() {
-	mode := flag.String("mode", "campaign", "campaign | levels | fuzz | serve")
-	seeds := flag.Int64("seeds", 50, "random programs (fuzz mode, 0 = unbounded; serve mode defaults to 0) / samples per class (levels mode)")
-	start := flag.Int64("start", 0, "first generator seed (fuzz mode)")
-	seed := flag.Int64("seed", 0, "master schedule seed (fuzz mode): the same -seed replays the whole run, mutation schedule included")
-	workers := flag.Int("workers", 0, "per-stage worker pool size (fuzz mode, 0 = GOMAXPROCS)")
-	duration := flag.Duration("duration", 0, "wall-clock budget (fuzz mode, 0 = until seeds are exhausted)")
-	backend := flag.String("backend", "v1model", "generator/pipeline backend: v1model | tna")
-	jsonl := flag.String("jsonl", "", "append unique findings as JSON lines to FILE (\"-\" = stdout)")
-	packets := flag.Bool("packets", true, "run symbolic-execution packet tests in addition to translation validation")
-	concolic := flag.Bool("concolic", true, "bit-parallel concrete falsification under every equivalence query plus trace-steered test enumeration; -concolic=false sends every verdict straight to the solver (bisection / invariance checking)")
-	doReduce := flag.Bool("reduce", true, "auto-reduce each unique finding's witness")
-	reduceWorkers := flag.Int("reduce-workers", 0, "speculative reduction window: candidates probed concurrently per finding (0 = -workers; the reduced witnesses are byte-identical at any value)")
-	mutateRatio := flag.Float64("mutate-ratio", 0.5, "fraction of programs drawn by mutating corpus seeds (fuzz mode, 0 = pure grammar generation)")
-	corpusDir := flag.String("corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz mode)")
-	statsInterval := flag.Duration("stats-interval", 0, "emit a periodic stats record to -jsonl every D (fuzz/serve mode; serve defaults to 30s, fuzz to final record only)")
-	epochPrograms := flag.Int("epoch-programs", 0, "rotate the solver context + caches every N programs, bounding per-epoch memory (serve mode defaults to 4096; 0 in fuzz mode = never)")
-	stateDir := flag.String("state", "", "durable state directory (fuzz/serve mode): fsynced findings journal, periodic atomic checkpoints and quarantine records")
-	resumeDir := flag.String("resume", "", "resume a killed campaign from the durable state in DIR (implies -state DIR): restores the corpus and seed watermark from the checkpoint and pre-seeds dedup from the journal so reprocessed slots are never re-reported")
-	checkpointPrograms := flag.Int("checkpoint-programs", 0, "checkpoint cadence in folded programs (needs -state; 0 = every epoch, or every 256 programs when epochs are off)")
-	stageTimeout := flag.Duration("stage-timeout", 0, "per-program stall budget for each pipeline stage: a stage body exceeding it is abandoned and the program quarantined (serve mode defaults to 30s; 0 disables the watchdog)")
-	oracleTimeout := flag.Duration("oracle-timeout", 0, "wall-clock budget for one program's oracle inspection: on expiry the ladder retries once at doubled budgets, then degrades the verdict to Unknown (0 disables)")
-	httpAddr := flag.String("http", "", "serve the admin/introspection endpoints (/metrics, /statusz, /healthz, /debug/pprof) on ADDR (fuzz/serve mode; e.g. 127.0.0.1:8080, \"\" disables)")
-	injectEvery := flag.Int64("inject-every", 0, "fault injection for resilience testing: deterministically fault ~1/N units per stage (0 disables)")
-	injectSeed := flag.Int64("inject-seed", 1, "fault-injection plan seed (with -inject-every)")
-	injectStages := flag.String("inject-stages", "generate,compile,oracle,reduce", "comma-separated stages to inject into (with -inject-every)")
-	injectStall := flag.Duration("inject-stall", 5*time.Second, "injected stall duration (with -inject-every); set above -stage-timeout to exercise abandonment")
-	listen := flag.String("listen", "", "coordinator mode: accept worker connections on ADDR (host:port, or a socket path containing '/')")
-	connect := flag.String("connect", "", "worker mode: dial the coordinator at ADDR (retrying while it boots)")
-	fleetN := flag.Int("fleet", 0, "coordinator mode: fork N local worker processes of this binary against -listen (0 = external workers only)")
-	leaseSlots := flag.Int64("lease-slots", 0, "coordinator mode: seeds per work lease; must be a multiple of the engine sync interval (0 = 4 sync intervals)")
-	leaseTimeout := flag.Duration("lease-timeout", 0, "coordinator mode: re-issue a lease not completed within D — set above a lease's worst-case wall clock (0 = 2m)")
-	workerName := flag.String("worker-name", "", "worker mode: name for logs and per-worker metrics (default worker-PID)")
-	defects := flag.String("defects", "", "comma-separated bug registry IDs to instrument into the pipeline (fuzz/coordinator mode; the CI smoke harness's known-defect seeding)")
-	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	ff := fuzzFlags{
-		seeds: *seeds, start: *start, seed: *seed, workers: *workers, duration: *duration,
-		backend: *backend, jsonl: *jsonl, packets: *packets, reduce: *doReduce, concolic: *concolic,
-		reduceWorkers: *reduceWorkers,
-		mutateRatio: *mutateRatio, corpusDir: *corpusDir, statsInterval: *statsInterval,
-		epochPrograms: *epochPrograms,
-		stateDir:      *stateDir, resumeDir: *resumeDir, checkpointPrograms: *checkpointPrograms,
-		stageTimeout: *stageTimeout, oracleTimeout: *oracleTimeout,
-		httpAddr:    *httpAddr,
-		injectEvery: *injectEvery, injectSeed: *injectSeed,
-		injectStages: *injectStages, injectStall: *injectStall,
-		defects:  *defects,
-		explicit: explicit,
+	mode, ff, fl, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	fl := fleetFlags{
-		listen: *listen, connect: *connect, forkWorkers: *fleetN,
-		leaseSlots: *leaseSlots, leaseTimeout: *leaseTimeout, workerName: *workerName,
+	if err != nil {
+		os.Exit(2) // the flag package has already printed the error
 	}
-
-	switch *mode {
+	switch mode {
 	case "campaign":
 		campaign()
 	case "levels":
-		fmt.Print(core.RunLevelStudy(int(*seeds)).Render())
+		fmt.Print(core.RunLevelStudy(int(ff.seeds)).Render())
 	case "coordinator":
 		coordinatorMain(ff, fl)
 	case "worker":
 		workerMain(fl)
 	case "fuzz", "serve":
-		if *mode == "serve" {
+		if mode == "serve" {
 			// Serve is fuzz shaped for multi-day runs: unbounded seed
 			// stream, bounded memory, observable by default.
 			ff.serve = true
-			if !explicit["seeds"] {
+			if !ff.explicit["seeds"] {
 				ff.seeds = 0
 			}
-			if !explicit["epoch-programs"] {
+			if !ff.explicit["epoch-programs"] {
 				ff.epochPrograms = 4096
 			}
-			if !explicit["stats-interval"] {
+			if !ff.explicit["stats-interval"] {
 				ff.statsInterval = 30 * time.Second
 			}
-			if !explicit["jsonl"] {
+			if !ff.explicit["jsonl"] {
 				// Observable by default: without an explicit sink the
 				// periodic stats, epoch and finding records stream to
 				// stdout — a multi-day run must never be silent until
 				// its final summary.
 				ff.jsonl = "-"
 			}
-			if !explicit["stage-timeout"] {
+			if !ff.explicit["stage-timeout"] {
 				// A multi-day run must survive a single pathological
 				// program: watchdog on by default.
 				ff.stageTimeout = 30 * time.Second
 			}
 			if ff.epochPrograms <= 0 {
-				fmt.Fprintln(os.Stderr, "p4gauntlet: serve mode requires -epoch-programs > 0 (memory would grow unbounded)")
-				os.Exit(2)
+				die(2, "serve mode requires -epoch-programs > 0 (memory would grow unbounded)")
 			}
 		}
 		fuzz(ff)
 	default:
-		fmt.Fprintf(os.Stderr, "p4gauntlet: unknown mode %q\n", *mode)
-		os.Exit(2)
+		die(2, "unknown mode %q", mode)
 	}
+}
+
+// parseFlags parses the command line into the mode and its settings.
+func parseFlags(args []string) (mode string, ff fuzzFlags, fl fleetFlags, err error) {
+	fs := flag.NewFlagSet("p4gauntlet", flag.ContinueOnError)
+	fs.StringVar(&mode, "mode", "campaign", "campaign | levels | fuzz | serve")
+	fs.Int64Var(&ff.seeds, "seeds", 50, "random programs (fuzz mode, 0 = unbounded; serve mode defaults to 0) / samples per class (levels mode)")
+	fs.Int64Var(&ff.start, "start", 0, "first generator seed (fuzz mode)")
+	fs.Int64Var(&ff.seed, "seed", 0, "master schedule seed (fuzz mode): the same -seed replays the whole run, mutation schedule included")
+	fs.IntVar(&ff.workers, "workers", 0, "per-stage worker pool size (fuzz mode, 0 = GOMAXPROCS)")
+	fs.DurationVar(&ff.duration, "duration", 0, "wall-clock budget (fuzz mode, 0 = until seeds are exhausted)")
+	fs.StringVar(&ff.backend, "backend", "v1model", "generator/pipeline backend: v1model | tna")
+	fs.StringVar(&ff.jsonl, "jsonl", "", "append unique findings as JSON lines to FILE (\"-\" = stdout)")
+	fs.BoolVar(&ff.packets, "packets", true, "run symbolic-execution packet tests in addition to translation validation")
+	fs.BoolVar(&ff.concolic, "concolic", true, "bit-parallel concrete falsification under every equivalence query plus trace-steered test enumeration; -concolic=false sends every verdict straight to the solver (bisection / invariance checking)")
+	fs.BoolVar(&ff.reduce, "reduce", true, "auto-reduce each unique finding's witness")
+	fs.IntVar(&ff.reduceWorkers, "reduce-workers", 0, "speculative reduction window: candidates probed concurrently per finding (0 = -workers; the reduced witnesses are byte-identical at any value)")
+	fs.Float64Var(&ff.mutateRatio, "mutate-ratio", 0.5, "fraction of programs drawn by mutating corpus seeds (fuzz mode, 0 = pure grammar generation)")
+	fs.StringVar(&ff.corpusDir, "corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz mode)")
+	fs.DurationVar(&ff.statsInterval, "stats-interval", 0, "emit a periodic stats record to -jsonl every D (fuzz/serve mode; serve defaults to 30s, fuzz to final record only)")
+	fs.IntVar(&ff.epochPrograms, "epoch-programs", 0, "rotate the solver context + caches every N programs, bounding per-epoch memory (serve mode defaults to 4096; 0 in fuzz mode = never)")
+	fs.StringVar(&ff.stateDir, "state", "", "durable state directory (fuzz/serve mode): fsynced findings journal, periodic atomic checkpoints and quarantine records")
+	fs.StringVar(&ff.resumeDir, "resume", "", "resume a killed campaign from the durable state in DIR (implies -state DIR): restores the corpus and seed watermark from the checkpoint and pre-seeds dedup from the journal so reprocessed slots are never re-reported")
+	fs.IntVar(&ff.checkpointPrograms, "checkpoint-programs", 0, "checkpoint cadence in folded programs (needs -state; 0 = every epoch, or every 256 programs when epochs are off)")
+	fs.DurationVar(&ff.stageTimeout, "stage-timeout", 0, "per-program stall budget for each pipeline stage: a stage body exceeding it is abandoned and the program quarantined (serve mode defaults to 30s; 0 disables the watchdog)")
+	fs.DurationVar(&ff.oracleTimeout, "oracle-timeout", 0, "wall-clock budget for one program's oracle inspection: on expiry the ladder retries once at doubled budgets, then degrades the verdict to Unknown (0 disables)")
+	fs.StringVar(&ff.httpAddr, "http", "", "serve the admin/introspection endpoints (/metrics, /statusz, /healthz, /debug/pprof) on ADDR (fuzz/serve mode; e.g. 127.0.0.1:8080, \"\" disables)")
+	fs.Int64Var(&ff.injectEvery, "inject-every", 0, "fault injection for resilience testing: deterministically fault ~1/N units per stage (0 disables)")
+	fs.Int64Var(&ff.injectSeed, "inject-seed", 1, "fault-injection plan seed (with -inject-every)")
+	fs.StringVar(&ff.injectStages, "inject-stages", "generate,compile,oracle,reduce", "comma-separated stages to inject into (with -inject-every)")
+	fs.DurationVar(&ff.injectStall, "inject-stall", 5*time.Second, "injected stall duration (with -inject-every); set above -stage-timeout to exercise abandonment")
+	fs.StringVar(&fl.listen, "listen", "", "coordinator mode: accept worker connections on ADDR (host:port, or a socket path containing '/')")
+	fs.StringVar(&fl.connect, "connect", "", "worker mode: dial the coordinator at ADDR (retrying while it boots)")
+	fs.IntVar(&fl.forkWorkers, "fleet", 0, "coordinator mode: fork N local worker processes of this binary against -listen (0 = external workers only)")
+	fs.Int64Var(&fl.leaseSlots, "lease-slots", 0, "coordinator mode: seeds per work lease; must be a multiple of the engine sync interval (0 = 4 sync intervals)")
+	fs.DurationVar(&fl.leaseTimeout, "lease-timeout", 0, "coordinator mode: re-issue a lease not completed within D — set above a lease's worst-case wall clock (0 = 2m)")
+	fs.StringVar(&fl.workerName, "worker-name", "", "worker mode: name for logs and per-worker metrics (default worker-PID)")
+	fs.StringVar(&ff.defects, "defects", "", "comma-separated bug registry IDs to instrument into the backend's reference pipeline (fuzz/serve/coordinator mode; the CI smoke harness's known-defect seeding)")
+	if err := fs.Parse(args); err != nil {
+		return mode, ff, fl, err
+	}
+	ff.explicit = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { ff.explicit[f.Name] = true })
+	return mode, ff, fl, nil
+}
+
+// die reports a fatal error and exits: code 2 for unusable flags, 1 for
+// everything else.
+func die(code int, format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "p4gauntlet: "+format+"\n", args...)
+	os.Exit(code)
 }
 
 // campaign hunts all 91 filed bugs and prints the tables.
@@ -271,87 +269,38 @@ type statuszPayload struct {
 // the paper's CI proposal asks for, as a thin wrapper over core.Engine
 // plus the corpus directory and JSONL observability plumbing.
 func fuzz(ff fuzzFlags) {
-	cfg := core.DefaultEngineConfig()
-	cfg.StartSeed = ff.start
-	cfg.Seeds = ff.seeds
-	cfg.Seed = ff.seed
-	cfg.Workers = ff.workers
-	cfg.PacketTests = ff.packets
-	cfg.Reduce = ff.reduce
-	cfg.ReduceOpts.Parallelism = ff.reduceWorkers
-	cfg.ConcolicOff = !ff.concolic
-	cfg.MutateRatio = ff.mutateRatio
-	cfg.EpochPrograms = ff.epochPrograms
-	switch ff.backend {
-	case "v1model":
-		cfg.Backend = generator.V1Model
-	case "tna":
-		cfg.Backend = generator.TNA
-	default:
-		fmt.Fprintf(os.Stderr, "p4gauntlet: unknown backend %q (want v1model or tna)\n", ff.backend)
-		os.Exit(2)
-	}
-	// -defects instruments registry bugs into the pipeline — the same
-	// known-defect seeding the fleet smoke harness uses, so a
-	// single-process baseline run is directly comparable to a fleet run.
-	if ff.defects != "" {
-		reg := bugs.Load()
-		var active []*bugs.Bug
-		for _, id := range splitDefects(ff.defects) {
-			b := reg.ByID(id)
-			if b == nil {
-				fmt.Fprintf(os.Stderr, "p4gauntlet: -defects: registry has no bug %q\n", id)
-				os.Exit(2)
-			}
-			active = append(active, b)
-		}
-		cfg.Passes = bugs.Instrument(compiler.DefaultPasses(), active)
+	cfg, err := engineConfig(ff)
+	if err != nil {
+		die(2, "%v", err)
 	}
 	if ff.corpusDir != "" {
 		c := corpus.New(0)
 		if n, err := c.Load(ff.corpusDir); err == nil {
 			fmt.Fprintf(os.Stderr, "corpus: loaded %d seeds from %s\n", n, ff.corpusDir)
 		} else if !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: corpus load: %v\n", err)
-			os.Exit(1)
+			die(1, "corpus load: %v", err)
 		}
 		cfg.Corpus = c
 	}
 
-	var sink io.Writer
 	// human carries the progress lines (findings, epoch retirements,
 	// summary). When the JSONL stream owns stdout, they move to stderr so
 	// `p4gauntlet -mode serve | jq .` stays parseable.
 	human := io.Writer(os.Stdout)
-	switch ff.jsonl {
-	case "":
-	case "-":
-		sink = os.Stdout
+	if ff.jsonl == "-" {
 		human = os.Stderr
-	default:
-		f, err := os.OpenFile(ff.jsonl, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		sink = f
 	}
 	// The engine is declared here (assigned after configuration below) so
-	// the JSONL drop path can count lost records on it.
+	// the JSONL drop path can count lost records on it: a long-lived
+	// daemon's sick sink must be visible to a scraper (Stats.RecordsDropped,
+	// /statusz), not only to whoever tails stderr.
 	var engine *core.Engine
-	// Findings stream from the engine's report goroutine and stats records
-	// from the ticker below, so JSONL lines share one locked writer. A
-	// failed write is counted (Stats.RecordsDropped, /statusz) as well as
-	// logged — a long-lived daemon's sick sink must be visible to a
-	// scraper, not only to whoever tails stderr.
-	jw := newJSONLWriter(sink, func(what string, err error) {
+	jw, closeJSONL := openJSONL(ff.jsonl, func() {
 		if engine != nil {
 			engine.NoteDroppedRecord()
 		}
-		fmt.Fprintf(os.Stderr, "p4gauntlet: jsonl %s record lost: %v\n", what, err)
 	})
-	writeJSONL := jw.write
+	defer closeJSONL()
 	// statsRecord is the self-describing stats line: periodic records
 	// (Final=false) make long campaigns observable mid-flight; the final
 	// record closes the stream.
@@ -370,22 +319,9 @@ func fuzz(ff fuzzFlags) {
 			es.Index, es.Programs, es.Context.Interner.Entries,
 			float64(es.Context.Interner.BytesEstimate)/(1<<20),
 			es.Context.Simp.Entries, es.Cache.VerdictHits+es.Cache.VerdictMisses)
-		writeJSONL(epochRecord{Epoch: es}, fmt.Sprintf("epoch %d", es.Index))
+		jw.write(epochRecord{Epoch: es}, fmt.Sprintf("epoch %d", es.Index))
 	}
-	cfg.OnFinding = func(f core.Finding) {
-		fmt.Fprintf(human, "seed %d: %s", f.Seed, f.Kind)
-		if f.Pass != "" {
-			fmt.Fprintf(human, " in %s", f.Pass)
-		}
-		if f.Origin == "mutate" {
-			fmt.Fprintf(human, " [mutant]")
-		}
-		if f.SizeBefore != f.SizeAfter {
-			fmt.Fprintf(human, " (witness reduced %d -> %d stmts)", f.SizeBefore, f.SizeAfter)
-		}
-		fmt.Fprintf(human, ": %s\n", f.Detail)
-		writeJSONL(f, fmt.Sprintf("finding (seed %d)", f.Seed))
-	}
+	cfg.OnFinding = func(f core.Finding) { reportFinding(human, jw, f) }
 	cfg.OnOracleError = func(seed int64, err error) {
 		fmt.Fprintf(os.Stderr, "seed %d: tool limitation: %v\n", seed, err)
 	}
@@ -393,20 +329,16 @@ func fuzz(ff fuzzFlags) {
 		fmt.Fprintf(os.Stderr, "seed %d: quarantined at %s stage (%s): %s\n",
 			rec.Seed, rec.Stage, rec.Kind, rec.Symptom)
 	}
-	cfg.StageTimeout = ff.stageTimeout
-	cfg.OracleTimeout = ff.oracleTimeout
 
 	// Admin/introspection plane (-http): a metrics registry feeds
 	// /metrics, and bounded rings of recent epoch retirements and
 	// quarantine records feed /statusz. The rings wrap the base callbacks
 	// here so later wrappers (the persist layer's) compose on top.
-	var reg *obs.Registry
 	var introMu sync.Mutex
 	var recentEpochs []core.EpochStats
 	var recentQuarantine []core.QuarantineRecord
 	if ff.httpAddr != "" {
-		reg = obs.NewRegistry()
-		cfg.Obs = reg
+		cfg.Obs = obs.NewRegistry()
 		const keepRecent = 64
 		prevEpoch := cfg.OnEpoch
 		cfg.OnEpoch = func(es core.EpochStats) {
@@ -451,69 +383,21 @@ func fuzz(ff fuzzFlags) {
 
 	// Durable state: write-ahead findings journal, periodic atomic
 	// checkpoints at fold boundaries, quarantine records on disk. With
-	// -resume, restore the dead incarnation's corpus + watermark and
-	// pre-seed dedup from its journal.
-	var st *persist.State
+	// -resume, continue the dead incarnation's schedule from its
+	// checkpoint.
 	baseTotals := persist.Totals{}
 	baseEpoch := 0
 	epochsThisRun := 0
-	dir := ff.stateDir
-	if ff.resumeDir != "" {
-		if dir != "" && dir != ff.resumeDir {
-			fmt.Fprintln(os.Stderr, "p4gauntlet: -state and -resume point at different directories")
-			os.Exit(2)
-		}
-		dir = ff.resumeDir
-	}
-	if dir != "" {
-		var err error
-		st, err = persist.Open(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: state: %v\n", err)
-			os.Exit(1)
-		}
+	if st := openState(ff); st != nil {
 		defer st.Close()
-		if ff.resumeDir != "" {
-			cp, err := st.LoadCheckpoint()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "p4gauntlet: resume: %v\n", err)
-				os.Exit(1)
-			}
-			if cp != nil {
-				// The corpus and watermark are functions of the schedule:
-				// refuse explicit flags that contradict the checkpoint,
-				// adopt its values otherwise.
-				if ff.explicit["seed"] && cfg.Seed != cp.Seed {
-					fmt.Fprintf(os.Stderr, "p4gauntlet: resume: -seed %d contradicts checkpoint seed %d\n", cfg.Seed, cp.Seed)
-					os.Exit(2)
-				}
-				if ff.explicit["mutate-ratio"] && cfg.MutateRatio != cp.MutateRatio {
-					fmt.Fprintf(os.Stderr, "p4gauntlet: resume: -mutate-ratio %g contradicts checkpoint %g\n", cfg.MutateRatio, cp.MutateRatio)
-					os.Exit(2)
-				}
-				cfg.Seed = cp.Seed
-				cfg.MutateRatio = cp.MutateRatio
-				cfg.StartSeed = cp.NextSlot
-				baseTotals = cp.Totals
-				baseEpoch = cp.Epoch
-				if cp.Corpus != nil {
-					c, err := corpus.FromSnapshot(cp.Corpus)
-					if err != nil {
-						fmt.Fprintf(os.Stderr, "p4gauntlet: resume: corpus: %v\n", err)
-						os.Exit(1)
-					}
-					cfg.Corpus = c
-				}
-			}
-			known, nrec, err := st.KnownFindings()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "p4gauntlet: resume: journal: %v\n", err)
-				os.Exit(1)
-			}
-			cfg.KnownFindings = known
-			fmt.Fprintf(os.Stderr, "resume: watermark slot %d, %d journaled findings pre-seeding dedup\n",
-				cfg.StartSeed, nrec)
+		if cp := st.cp; cp != nil {
+			cfg.Seed, cfg.MutateRatio, cfg.StartSeed = cp.Seed, cp.MutateRatio, cp.NextSlot
+			baseTotals, baseEpoch = cp.Totals, cp.Epoch
 		}
+		if st.corpus != nil {
+			cfg.Corpus = st.corpus
+		}
+		cfg.KnownFindings = st.known
 		// Write-ahead discipline: a finding hits the fsynced journal
 		// before it is streamed anywhere else, so anything the user ever
 		// saw survives a crash.
@@ -586,57 +470,47 @@ func fuzz(ff fuzzFlags) {
 
 	engine = core.NewEngine(cfg)
 
-	// Start the admin server once the engine exists (its Health/Status
-	// hooks read it). Binding eagerly means a bad -http address fails the
-	// run at startup, not at first scrape.
-	var admin *obs.Admin
-	if ff.httpAddr != "" {
-		// Liveness window: the collector folds a round every SyncInterval
-		// programs, so a healthy pipeline folds continuously. Five minutes
-		// (or four stats intervals, whichever is larger) without fold
-		// progress on a running engine reports unhealthy.
-		window := 5 * time.Minute
-		if w := 4 * ff.statsInterval; w > window {
-			window = w
-		}
-		modeName := "fuzz"
-		if ff.serve {
-			modeName = "serve"
-		}
-		started := time.Now()
-		var err error
-		admin, err = obs.StartAdmin(ff.httpAddr, obs.AdminConfig{
-			Metrics: reg,
-			Health: func() error {
-				h := engine.Health()
-				if !h.Running {
-					return nil
-				}
-				if since := time.Since(h.LastProgress); since > window {
-					return fmt.Errorf("no round-fold progress for %s (%d programs folded)",
-						since.Round(time.Second), h.ProgramsFolded)
-				}
-				return nil
-			},
-			Status: func() any {
-				introMu.Lock()
-				eps := append([]core.EpochStats(nil), recentEpochs...)
-				qs := append([]core.QuarantineRecord(nil), recentQuarantine...)
-				introMu.Unlock()
-				return statuszPayload{
-					Mode: modeName, PID: os.Getpid(),
-					Started: started, Now: time.Now(),
-					Health: engine.Health(), Stats: engine.Stats(),
-					Epochs: eps, Quarantine: qs,
-				}
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "admin: serving /metrics /statusz /healthz /debug/pprof on http://%s\n", admin.Addr())
+	// Liveness window: the collector folds a round every SyncInterval
+	// programs, so a healthy pipeline folds continuously. Five minutes
+	// (or four stats intervals, whichever is larger) without fold
+	// progress on a running engine reports unhealthy.
+	window := 5 * time.Minute
+	if w := 4 * ff.statsInterval; w > window {
+		window = w
 	}
+	modeName := "fuzz"
+	if ff.serve {
+		modeName = "serve"
+	}
+	started := time.Now()
+	// The admin server starts once the engine exists: its Health and
+	// Status hooks read it.
+	stopAdmin := startAdmin(ff.httpAddr, obs.AdminConfig{
+		Metrics: cfg.Obs,
+		Health: func() error {
+			h := engine.Health()
+			if !h.Running {
+				return nil
+			}
+			if since := time.Since(h.LastProgress); since > window {
+				return fmt.Errorf("no round-fold progress for %s (%d programs folded)",
+					since.Round(time.Second), h.ProgramsFolded)
+			}
+			return nil
+		},
+		Status: func() any {
+			introMu.Lock()
+			eps := append([]core.EpochStats(nil), recentEpochs...)
+			qs := append([]core.QuarantineRecord(nil), recentQuarantine...)
+			introMu.Unlock()
+			return statuszPayload{
+				Mode: modeName, PID: os.Getpid(),
+				Started: started, Now: time.Now(),
+				Health: engine.Health(), Stats: engine.Stats(),
+				Epochs: eps, Quarantine: qs,
+			}
+		},
+	})
 
 	// SIGHUP means "checkpoint and flush stats now" — no drain, no pause:
 	// the flag is read by the collector at its next fold boundary and the
@@ -653,7 +527,7 @@ func fuzz(ff fuzzFlags) {
 			case <-hup:
 				engine.RequestCheckpoint()
 				s := engine.Stats()
-				writeJSONL(statsRecord{Stats: s}, "stats")
+				jw.write(statsRecord{Stats: s}, "stats")
 				fmt.Fprintln(os.Stderr, "SIGHUP: checkpoint requested, stats flushed")
 				// One-line human summary on stderr: operators without a
 				// JSONL tail get the same signal.
@@ -662,7 +536,7 @@ func fuzz(ff fuzzFlags) {
 		}
 	}()
 	tickerDone := make(chan struct{})
-	if sink != nil && ff.statsInterval > 0 {
+	if ff.jsonl != "" && ff.statsInterval > 0 {
 		go func() {
 			tick := time.NewTicker(ff.statsInterval)
 			defer tick.Stop()
@@ -671,7 +545,7 @@ func fuzz(ff fuzzFlags) {
 				case <-tickerDone:
 					return
 				case <-tick.C:
-					writeJSONL(statsRecord{Stats: engine.Stats()}, "stats")
+					jw.write(statsRecord{Stats: engine.Stats()}, "stats")
 				}
 			}
 		}()
@@ -685,17 +559,11 @@ func fuzz(ff fuzzFlags) {
 	// (throughput, corpus/admission counters, cache hit rates,
 	// simplification/gate-reuse counters, interner growth), so a JSONL
 	// stream is self-describing without scraping the human summary.
-	writeJSONL(statsRecord{Stats: stats, Final: true}, "stats")
+	jw.write(statsRecord{Stats: stats, Final: true}, "stats")
 	// Drain the admin listener after the final records: a scraper racing
 	// the shutdown sees either live data or a closed port, never a
 	// half-dead server.
-	if admin != nil {
-		sdCtx, sdCancel := context.WithTimeout(context.Background(), 3*time.Second)
-		if err := admin.Shutdown(sdCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "p4gauntlet: admin shutdown: %v\n", err)
-		}
-		sdCancel()
-	}
+	stopAdmin()
 	if ff.corpusDir != "" {
 		if n, err := engine.Corpus().Save(ff.corpusDir); err != nil {
 			fmt.Fprintf(os.Stderr, "p4gauntlet: corpus save: %v\n", err)

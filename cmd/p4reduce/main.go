@@ -5,8 +5,9 @@
 //
 // Properties:
 //
-//	-crash        the pipeline must keep crashing (with -bug, the seeded
-//	              defect's pipeline is used)
+//	-crash        the pipeline must keep crashing (with -bug, the
+//	              reference pipeline of the bug's platform, instrumented
+//	              with the seeded defect, is used)
 //	-miscompile   translation validation must keep failing (requires -bug)
 //
 // Usage:
@@ -23,6 +24,7 @@ import (
 
 	"gauntlet/internal/bugs"
 	"gauntlet/internal/compiler"
+	"gauntlet/internal/core"
 	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/parser"
 	"gauntlet/internal/p4/printer"
@@ -60,7 +62,10 @@ func main() {
 		if bug == nil {
 			fatal(fmt.Errorf("unknown bug %q", *bugID))
 		}
-		passes = bugs.Instrument(passes, []*bugs.Bug{bug})
+		// The reference pipeline of the bug's platform, with the bug in it.
+		if passes, err = core.Pipeline(bug.Platform, bug); err != nil {
+			fatal(err)
+		}
 	}
 
 	var keep reduce.Predicate

@@ -24,18 +24,15 @@ func main() {
 	stmts := flag.Int("stmts", 8, "maximum statements per block body")
 	flag.Parse()
 
+	be, err := generator.ParseBackend(*backend)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "p4smith: %v\n", err)
+		os.Exit(2)
+	}
 	for i := 0; i < *n; i++ {
 		cfg := generator.DefaultConfig(*seed + int64(i))
 		cfg.MaxStmts = *stmts
-		switch *backend {
-		case "v1model":
-			cfg.Backend = generator.V1Model
-		case "tna":
-			cfg.Backend = generator.TNA
-		default:
-			fmt.Fprintf(os.Stderr, "p4smith: unknown backend %q\n", *backend)
-			os.Exit(2)
-		}
+		cfg.Backend = be
 		prog := generator.Generate(cfg)
 		if *n > 1 {
 			fmt.Printf("// ---- seed %d ----\n", *seed+int64(i))

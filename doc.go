@@ -66,9 +66,21 @@
 // To add a new oracle check, extend core.Oracle.Inspect (and Outcome with
 // a new finding family); every consumer — campaign, engine, reducer
 // predicates — picks it up at once. To fuzz a new backend, give the
-// generator a skeleton (generator.Backend) and map it to a reference pass
-// pipeline in core.NewEngine; the engine's -backend flag in cmd/p4gauntlet
-// selects between them.
+// generator a skeleton (generator.Backend, named in
+// generator.ParseBackend) and map it to a platform in core.PlatformOf;
+// core.Pipeline builds each platform's reference pass pipeline, and the
+// -backend flag in cmd/p4gauntlet selects between them.
+//
+// Every campaign front end shares that pipeline and one configuration
+// path. p4gauntlet -defects (fuzz, serve and coordinator modes), the
+// fleet worker and p4reduce -bug instrument seeded registry defects into
+// the reference pipeline via core.Pipeline, which refuses a defect whose
+// pass that pipeline does not run (a Tofino defect on v1model, say)
+// instead of silently instrumenting nothing. Campaign settings become a
+// core.EngineConfig in one place, fleet.RunConfig.EngineConfig: every
+// fleet lease starts from it, and so do fuzz and serve runs, which add
+// only what a single process has (mutation, epochs, a loaded or resumed
+// corpus, callbacks).
 //
 // # Corpus architecture
 //
@@ -264,8 +276,10 @@
 //
 // Durable state (internal/persist). The journal (DIR/journal.jsonl) is
 // append-only JSONL, one fsync per finding, written before the finding
-// is streamed anywhere — replay tolerates a torn final line (crash
-// signature) but fails on interior corruption. Checkpoints
+// is streamed anywhere. A torn final line (the crash signature: a line
+// without its newline) is dropped when the journal is opened, so the
+// next record starts on a line of its own; replay tolerates one but
+// fails on interior corruption. Checkpoints
 // (DIR/checkpoint.json) are written atomically (temp file, fsync,
 // rename, fsync dir) from the collector at fold boundaries: a consistent
 // (corpus snapshot, NextSlot watermark, cumulative totals) triple, where

@@ -123,9 +123,6 @@ type Result struct {
 // Compiler drives a pass pipeline.
 type Compiler struct {
 	passes []Pass
-	// SkipReparse disables the emit/re-parse/re-check instrumentation
-	// (used by throughput benchmarks).
-	SkipReparse bool
 }
 
 // New creates a compiler with the given pass pipeline.
@@ -170,22 +167,18 @@ func (c *Compiler) Compile(prog *ast.Program) (res *Result, err error) {
 			Pass: p.Name(), Rewrote: true, TextDelta: len(emitted) - prevLen,
 		})
 		prevLen = len(emitted)
-		snapProg := next
-		if !c.SkipReparse {
-			// Re-parse and re-check the emitted text: catches ToP4 and
-			// invalid-transformation bugs.
-			reparsed, rerr := parser.Parse(emitted)
-			if rerr != nil {
-				return nil, &InvalidTransformError{Pass: p.Name(), Err: rerr}
-			}
-			if terr := types.Check(reparsed); terr != nil {
-				return nil, &InvalidTransformError{Pass: p.Name(), Err: terr}
-			}
-			snapProg = reparsed
+		// Re-parse and re-check the emitted text: catches ToP4 and
+		// invalid-transformation bugs.
+		reparsed, rerr := parser.Parse(emitted)
+		if rerr != nil {
+			return nil, &InvalidTransformError{Pass: p.Name(), Err: rerr}
+		}
+		if terr := types.Check(reparsed); terr != nil {
+			return nil, &InvalidTransformError{Pass: p.Name(), Err: terr}
 		}
 		res.Snapshots = append(res.Snapshots, Snapshot{
 			Pass: p.Name(),
-			Prog: snapProg,
+			Prog: reparsed,
 			Text: emitted,
 			Hash: hash,
 		})

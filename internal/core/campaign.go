@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"gauntlet/internal/bugs"
@@ -98,16 +99,36 @@ func NewCampaign() *Campaign {
 	}
 }
 
-// pipelineFor returns the reference pass pipeline of a platform.
-func pipelineFor(p bugs.Platform) []compiler.Pass {
+// Pipeline returns platform p's reference pass pipeline, the P4C front
+// and mid end followed by p's back end, with defects instrumented. Every
+// campaign, engine, fleet lease and reduction builds its pipeline here.
+// A defect whose pass the pipeline does not run is refused:
+// bugs.Instrument would skip it, and the run would hunt a defect that is
+// not there.
+func Pipeline(p bugs.Platform, defects ...*bugs.Bug) ([]compiler.Pass, error) {
+	passes := compiler.DefaultPasses()
 	switch p {
 	case bugs.BMv2:
-		return append(compiler.DefaultPasses(), bmv2.BackendPasses()...)
+		passes = append(passes, bmv2.BackendPasses()...)
 	case bugs.Tofino:
-		return append(compiler.DefaultPasses(), tofino.BackendPasses()...)
-	default:
-		return compiler.DefaultPasses()
+		passes = append(passes, tofino.BackendPasses()...)
 	}
+	for _, b := range defects {
+		if !slices.ContainsFunc(passes, func(ps compiler.Pass) bool { return ps.Name() == b.Pass }) {
+			return nil, fmt.Errorf("defect %s patches pass %s, which the %s pipeline does not run", b.ID, b.Pass, p)
+		}
+	}
+	return bugs.Instrument(passes, defects), nil
+}
+
+// PlatformOf names the platform whose reference pipeline compiles a
+// generator backend's programs: V1Model programs go to BMv2, TNA
+// programs to Tofino.
+func PlatformOf(b generator.Backend) bugs.Platform {
+	if b == generator.TNA {
+		return bugs.Tofino
+	}
+	return bugs.BMv2
 }
 
 // programsFor yields the candidate trigger programs for a bug: its
@@ -149,9 +170,13 @@ type namedProgram struct {
 // platform-appropriate technique — translation validation for the open
 // P4C side, symbolic-execution packet tests for the black-box back ends.
 // Hunt, the streaming Engine and tests all detect through this one stage.
-func (c *Campaign) OracleFor(b *bugs.Bug) *Oracle {
+func (c *Campaign) OracleFor(b *bugs.Bug) (*Oracle, error) {
+	passes, err := Pipeline(b.Platform, b)
+	if err != nil {
+		return nil, err
+	}
 	o := &Oracle{
-		Passes:       bugs.Instrument(pipelineFor(b.Platform), []*bugs.Bug{b}),
+		Passes:       passes,
 		MaxConflicts: c.MaxConflicts,
 		TestOpts:     c.TestOpts,
 		Cache:        c.Cache,
@@ -164,7 +189,7 @@ func (c *Campaign) OracleFor(b *bugs.Bug) *Oracle {
 			o.PacketTests = true
 		}
 	}
-	return o
+	return o, nil
 }
 
 // Hunt activates a single bug and applies the platform-appropriate
@@ -180,7 +205,10 @@ func (c *Campaign) HuntContext(ctx context.Context, b *bugs.Bug) (Detection, err
 	if err != nil {
 		return det, err
 	}
-	o := c.OracleFor(b)
+	o, err := c.OracleFor(b)
+	if err != nil {
+		return det, err
+	}
 	for _, np := range programs {
 		out := o.Examine(ctx, np.prog)
 		switch {
@@ -227,8 +255,9 @@ func (c *Campaign) HuntClean(b *bugs.Bug) (string, error) {
 	if err := types.Check(prog); err != nil {
 		return "", fmt.Errorf("witness does not check: %w", err)
 	}
+	passes, _ := Pipeline(b.Platform) // without defects it cannot fail
 	o := &Oracle{
-		Passes:       pipelineFor(b.Platform),
+		Passes:       passes,
 		MaxConflicts: c.MaxConflicts,
 		TestOpts:     c.TestOpts,
 		Cache:        c.Cache,

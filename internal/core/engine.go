@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gauntlet/internal/bugs"
 	"gauntlet/internal/compiler"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/coverage"
@@ -683,11 +682,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		cfg.Corpus = corpus.New(cfg.MaxCorpus)
 	}
 	if cfg.Passes == nil {
-		platform := bugs.BMv2
-		if cfg.Backend == generator.TNA {
-			platform = bugs.Tofino
-		}
-		cfg.Passes = pipelineFor(platform)
+		cfg.Passes, _ = Pipeline(PlatformOf(cfg.Backend)) // without defects it cannot fail
 	}
 	if cfg.Generate == nil {
 		backend := cfg.Backend

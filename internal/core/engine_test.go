@@ -174,7 +174,11 @@ func TestHuntMatchesSharedOracle(t *testing.T) {
 		if err := types.Check(prog); err != nil {
 			t.Fatalf("%s: %v", s.id, err)
 		}
-		out := c.OracleFor(b).Examine(context.Background(), prog)
+		o, err := c.OracleFor(b)
+		if err != nil {
+			t.Fatalf("%s: %v", s.id, err)
+		}
+		out := o.Examine(context.Background(), prog)
 		det, err := c.Hunt(b)
 		if err != nil {
 			t.Fatalf("%s: hunt: %v", s.id, err)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gauntlet/internal/bugs"
-	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/faultinject"
@@ -34,17 +33,16 @@ type WorkerConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// engineConfigForLease builds the lease-ranged engine configuration: the
-// existing engine, unchanged, over [lease.Start, lease.Start+lease.Count)
-// with a fresh delta-logging corpus and the worker-lifetime validation
-// cache. MutateRatio stays zero — fleet runs are pure-generation, which
-// is what makes a lease replayable without cross-lease corpus state.
-func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (core.EngineConfig, *corpus.Corpus, error) {
+// EngineConfig translates the campaign settings into an engine
+// configuration. It is the only such translation: every lease starts
+// from it, and so do single-process fuzz and serve runs, which then add
+// what only one process has (mutation, epochs, a loaded corpus,
+// callbacks). The pipeline is the backend's reference pipeline with
+// Defects instrumented; an unknown backend or defect, or a defect the
+// pipeline has no pass for, is an error.
+func (run RunConfig) EngineConfig() (core.EngineConfig, error) {
 	cfg := core.DefaultEngineConfig()
-	cfg.StartSeed = lease.Start
-	cfg.Seeds = lease.Count
 	cfg.Seed = run.Seed
-	cfg.MutateRatio = 0
 	cfg.SyncInterval = run.SyncInterval
 	cfg.Workers = run.EngineWorkers
 	cfg.PacketTests = run.PacketTests
@@ -61,29 +59,40 @@ func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (c
 		cfg.ReduceOpts.MaxPredicateCalls = run.ReduceMaxPredicateCalls
 	}
 	cfg.MaxReducePerPass = run.MaxReducePerPass
-	cfg.Cache = cache
 	cfg.StageTimeout = time.Duration(run.StageTimeoutMs) * time.Millisecond
 	cfg.OracleTimeout = time.Duration(run.OracleTimeoutMs) * time.Millisecond
-	switch run.Backend {
-	case "", "v1model":
-		cfg.Backend = generator.V1Model
-	case "tna":
-		cfg.Backend = generator.TNA
-	default:
-		return cfg, nil, fmt.Errorf("fleet: unknown backend %q", run.Backend)
+	var err error
+	if cfg.Backend, err = generator.ParseBackend(run.Backend); err != nil {
+		return cfg, err
 	}
+	var active []*bugs.Bug
 	if len(run.Defects) > 0 {
 		reg := bugs.Load()
-		var active []*bugs.Bug
 		for _, id := range run.Defects {
 			b := reg.ByID(id)
 			if b == nil {
-				return cfg, nil, fmt.Errorf("fleet: defect registry has no bug %q", id)
+				return cfg, fmt.Errorf("defect registry has no bug %q", id)
 			}
 			active = append(active, b)
 		}
-		cfg.Passes = bugs.Instrument(compiler.DefaultPasses(), active)
 	}
+	cfg.Passes, err = core.Pipeline(core.PlatformOf(cfg.Backend), active...)
+	return cfg, err
+}
+
+// engineConfigForLease builds the lease-ranged engine configuration: the
+// existing engine, unchanged, over [lease.Start, lease.Start+lease.Count)
+// with a fresh delta-logging corpus and the worker-lifetime validation
+// cache. MutateRatio stays zero — fleet runs are pure-generation, which
+// is what makes a lease replayable without cross-lease corpus state.
+func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (core.EngineConfig, *corpus.Corpus, error) {
+	cfg, err := run.EngineConfig()
+	if err != nil {
+		return cfg, nil, fmt.Errorf("fleet: %w", err)
+	}
+	cfg.StartSeed = lease.Start
+	cfg.Seeds = lease.Count
+	cfg.Cache = cache
 	c := corpus.New(run.MaxCorpus)
 	c.EnableDeltaLog()
 	cfg.Corpus = c

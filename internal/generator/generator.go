@@ -40,6 +40,18 @@ func (b Backend) String() string {
 	return "v1model"
 }
 
+// ParseBackend is String's inverse. The empty name is the default,
+// V1Model.
+func ParseBackend(name string) (Backend, error) {
+	switch name {
+	case "", "v1model":
+		return V1Model, nil
+	case "tna":
+		return TNA, nil
+	}
+	return V1Model, fmt.Errorf("unknown backend %q (want v1model or tna)", name)
+}
+
 // Weights steers the probability of generating each statement kind.
 // Values are relative; zero disables a construct.
 type Weights struct {

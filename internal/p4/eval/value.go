@@ -153,13 +153,6 @@ type UndefPolicy func(width int) uint64
 // ZeroUndef is the all-zeros policy (BMv2 behaviour).
 func ZeroUndef(width int) uint64 { return 0 }
 
-// ConstUndef returns a policy that yields the same constant (masked) for
-// every undefined read — used to model targets with non-zero poison values
-// and to stress-test undefined-value assumptions.
-func ConstUndef(c uint64) UndefPolicy {
-	return func(width int) uint64 { return ast.MaskWidth(c, width) }
-}
-
 // NewValue constructs the default (undefined-per-policy) value of a type.
 // Headers start invalid.
 func NewValue(t ast.Type, undef UndefPolicy) Value {

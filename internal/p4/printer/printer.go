@@ -43,13 +43,6 @@ func PrintExpr(e ast.Expr) string {
 	return pr.b.String()
 }
 
-// PrintStmt renders a single statement at indent level 0.
-func PrintStmt(s ast.Stmt) string {
-	var pr pr
-	pr.stmt(s)
-	return pr.b.String()
-}
-
 // Fingerprint returns a 64-bit FNV-1a hash of the printed program, used to
 // detect no-op compiler passes.
 func Fingerprint(p *ast.Program) uint64 {

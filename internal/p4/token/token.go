@@ -250,6 +250,3 @@ func (t Token) String() string {
 
 // IsKeyword reports whether the kind is a reserved word.
 func (k Kind) IsKeyword() bool { return k >= KwAction && k <= KwActions }
-
-// IsOperator reports whether the kind is an operator token.
-func (k Kind) IsOperator() bool { return k >= Assign && k <= PlusPlus }

@@ -11,6 +11,7 @@ package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -19,7 +20,8 @@ import (
 
 // Journal is an append-only JSONL file, one fsynced record per line. A
 // record is written with a single Write call ending in '\n', so a crash
-// can truncate only the final line; replay tolerates exactly that.
+// can truncate only the final line; replay tolerates exactly that, and
+// OpenJournal removes it before anything is appended after it.
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
@@ -27,13 +29,49 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if needed) the journal at path for
-// appending.
+// appending. A final line without a newline, which only a crash
+// mid-Append leaves, is truncated away: appended after it, the next
+// record would share its line and be lost, and every later one would
+// make the torn line interior corruption.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if err := dropTornTail(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("persist: journal %s: %w", path, err)
+	}
 	return &Journal{f: f, path: path}, nil
+}
+
+// dropTornTail truncates f after its last newline and makes the cut
+// durable.
+func dropTornTail(f *os.File) error {
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	// keep ends up as the length through the last newline.
+	keep, buf := info.Size(), make([]byte, 4096)
+	for keep > 0 {
+		n := min(keep, int64(len(buf)))
+		if _, err := f.ReadAt(buf[:n], keep-n); err != nil {
+			return err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			keep -= n - int64(i) - 1
+			break
+		}
+		keep -= n
+	}
+	if keep == info.Size() {
+		return nil
+	}
+	if err := f.Truncate(keep); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Append marshals v, writes it as one line and fsyncs before returning:

@@ -1,9 +1,11 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gauntlet/internal/core"
@@ -243,4 +245,99 @@ func TestJournalProvenanceCompat(t *testing.T) {
 		p.QueryTiers["cdcl"] != 2 || p.QueryTiers["simplified"] != 5 {
 		t.Errorf("provenance round-trip mismatch: %+v", p)
 	}
+}
+
+// Reopening a journal with a torn tail and appending must not bury the
+// new records behind the torn line: every intact record and both new
+// ones replay, with no error.
+func TestJournalReopenAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte("{\"a\":1}\n{\"a\":2}\n{\"a\": 3, \"tr"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{4, 5} {
+		if err := j.Append(map[string]int{"a": v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	if _, err := Replay(path, func(line []byte) error {
+		got = append(got, string(line))
+		return nil
+	}); err != nil {
+		t.Fatalf("replay after reopen: %v", err)
+	}
+	want := `{"a":1} {"a":2} {"a":4} {"a":5}`
+	if strings.Join(got, " ") != want {
+		t.Fatalf("replayed %q, want %s", got, want)
+	}
+}
+
+// FuzzJournalReopen reopens a journal holding arbitrary bytes, appends
+// two records and replays. Only the bytes through the last newline
+// survive the reopen, and after the appends each of their lines is
+// interior: replay must fail exactly when one of them is malformed, and
+// otherwise return their records followed by the two new ones. Its seed
+// corpus is under testdata/fuzz/FuzzJournalReopen.
+func FuzzJournalReopen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, initial []byte) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, initial, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []int{-1, -2} {
+			if err := j.Append(map[string]int{"appended": v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		var want []string
+		corrupt := false
+		kept := initial[:bytes.LastIndexByte(initial, '\n')+1]
+		for _, line := range bytes.SplitAfter(kept, []byte("\n")) {
+			// Replay reads lines as bufio.ScanLines does: without the
+			// newline and a carriage return before it.
+			line = bytes.TrimSuffix(bytes.TrimSuffix(line, []byte("\n")), []byte("\r"))
+			switch {
+			case len(line) == 0:
+			case json.Valid(line):
+				want = append(want, string(line))
+			default:
+				corrupt = true
+			}
+		}
+		want = append(want, `{"appended":-1}`, `{"appended":-2}`)
+
+		var got []string
+		_, err = Replay(path, func(line []byte) error {
+			got = append(got, string(line))
+			return nil
+		})
+		if corrupt {
+			if err == nil {
+				t.Fatalf("replay of %q accepted a malformed interior line", initial)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("replay of %q: %v", initial, err)
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("replay of %q = %q, want %q", initial, got, want)
+		}
+	})
 }

@@ -179,21 +179,6 @@ func SolvePreferNonZero(maxConflicts int, prefer []string, assertions ...*smt.Te
 	return SolveWithPreferences(maxConflicts, prefs, assertions...)
 }
 
-// SolvePreferTermsNonZero is SolvePreferNonZero generalized to arbitrary
-// bitvector terms: the solver greedily keeps "term != 0" side conditions
-// that remain satisfiable. Test generation uses it to steer extracted
-// header fields away from zero (§6.2).
-func SolvePreferTermsNonZero(maxConflicts int, prefer []*smt.Term, assertions ...*smt.Term) Result {
-	var prefs []*smt.Term
-	for _, t := range prefer {
-		if t.IsBool() || t.IsConst() {
-			continue
-		}
-		prefs = append(prefs, smt.Ne(t, t.Context().Const(0, t.W)))
-	}
-	return SolveWithPreferences(maxConflicts, prefs, assertions...)
-}
-
 // SolveWithPreferences solves the assertions, greedily keeping each
 // preference constraint that remains satisfiable (in order). Preferences
 // are soft: an unsatisfiable one is silently dropped.

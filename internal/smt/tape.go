@@ -209,9 +209,6 @@ func (tp *Tape) Vars() []TapeVar { return tp.vars }
 // counts and contexts.
 func (tp *Tape) Fingerprint() uint64 { return tp.fp }
 
-// NumInsns reports the flat instruction count (diagnostics/benchmarks).
-func (tp *Tape) NumInsns() int { return len(tp.insns) }
-
 // Exec borrows an executor from the tape's pool; return it with Release.
 func (tp *Tape) Exec() *TapeExec {
 	if e, ok := tp.pool.Get().(*TapeExec); ok {
@@ -259,21 +256,6 @@ func (e *TapeExec) SetLane(lane int, a Assignment) {
 		e.lanes[vi][lane] = val
 	}
 }
-
-// SetInput installs one raw value into one variable's lane, masked like
-// SetLane. The fill order is the Vars() order.
-func (e *TapeExec) SetInput(varIdx, lane int, val uint64) {
-	v := &e.tp.vars[varIdx]
-	if v.W == 0 {
-		val &= 1
-	} else {
-		val = mask(val, v.W)
-	}
-	e.lanes[varIdx][lane] = val
-}
-
-// Input reads back the raw value installed for (varIdx, lane).
-func (e *TapeExec) Input(varIdx, lane int) uint64 { return e.lanes[varIdx][lane] }
 
 // LaneAssignment reifies one lane's inputs as an Assignment covering
 // every tape variable (the witness-packet shape validate stores beside a

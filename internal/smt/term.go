@@ -299,9 +299,6 @@ func Or(xs ...*Term) *Term {
 	return c.intern(&Term{Op: OpOr, Args: args})
 }
 
-// Implies builds (or (not a) b).
-func Implies(a, b *Term) *Term { return Or(Not(a), b) }
-
 // Eq builds equality between two terms of the same sort.
 func Eq(a, b *Term) *Term {
 	assertSameSort(a, b, "Eq")

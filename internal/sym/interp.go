@@ -74,12 +74,6 @@ type EmitRecord struct {
 	Fields []NamedTerm
 }
 
-// NewInterp creates a symbolic interpreter for a resolved, type-checked
-// program, building terms in the default smt context.
-func NewInterp(prog *ast.Program) *Interp {
-	return NewInterpIn(smt.DefaultContext(), prog)
-}
-
 // NewInterpIn creates a symbolic interpreter whose terms — every
 // variable, constant and formula of the block forms it produces — live
 // in the given smt context, so a rotating service can retire them as one

@@ -104,15 +104,10 @@ func ComposePipeline(blocks []*Block) (*Pipeline, error) {
 	return p, nil
 }
 
-// PipelineOf builds the standard 4-block pipeline from a program's main
-// instantiation: parser, ingress, egress, deparser (the v1model / TNA
-// shape both generator back ends emit).
-func PipelineOf(prog *ast.Program) (*Pipeline, error) {
-	return PipelineOfIn(smt.DefaultContext(), prog)
-}
-
-// PipelineOfIn is PipelineOf with every term built in the given smt
-// context.
+// PipelineOfIn builds the standard 4-block pipeline from a program's
+// main instantiation: parser, ingress, egress, deparser (the v1model /
+// TNA shape both generator back ends emit), with every term built in the
+// given smt context.
 func PipelineOfIn(sctx *smt.Context, prog *ast.Program) (*Pipeline, error) {
 	main := prog.Main()
 	if main == nil {

@@ -116,16 +116,11 @@ func Merge(cond *smt.Term, a, b Value) Value {
 	}
 }
 
-// FreshInput builds a symbolic value of type t whose leaves are input
-// variables named by dotted path (e.g. "hdr.h.a", "hdr.h.$valid"), in
-// the default smt context. Header validity bits are inputs too: the
-// paper checks equivalence over all header validity combinations.
-func FreshInput(name string, t ast.Type) Value {
-	return FreshInputIn(smt.DefaultContext(), name, t)
-}
-
-// FreshInputIn is FreshInput with the input variables interned in the
-// given smt context.
+// FreshInputIn builds a symbolic value of type t whose leaves are input
+// variables named by dotted path (e.g. "hdr.h.a", "hdr.h.$valid"),
+// interned in the given smt context. Header validity bits are inputs
+// too: the paper checks equivalence over all header validity
+// combinations.
 func FreshInputIn(c *smt.Context, name string, t ast.Type) Value {
 	switch t := t.(type) {
 	case *ast.BitType:
@@ -145,7 +140,7 @@ func FreshInputIn(c *smt.Context, name string, t ast.Type) Value {
 		}
 		return s
 	default:
-		panic(fmt.Sprintf("sym.FreshInput: cannot build input of type %T", t))
+		panic(fmt.Sprintf("sym.FreshInputIn: cannot build input of type %T", t))
 	}
 }
 

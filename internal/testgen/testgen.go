@@ -114,13 +114,8 @@ func GenerateContext(ctx context.Context, prog *ast.Program, opts Options) (case
 	return FromPipelineContext(ctx, prog, pipe, opts)
 }
 
-// FromPipeline builds test cases from an already-composed pipeline.
-func FromPipeline(prog *ast.Program, pipe *sym.Pipeline, opts Options) ([]Case, error) {
-	return FromPipelineContext(context.Background(), prog, pipe, opts)
-}
-
-// FromPipelineContext is FromPipeline with cancellation (see
-// GenerateContext).
+// FromPipelineContext builds test cases from an already-composed
+// pipeline, with cancellation (see GenerateContext).
 func FromPipelineContext(ctx context.Context, prog *ast.Program, pipe *sym.Pipeline, opts Options) ([]Case, error) {
 	if opts.MaxCases <= 0 {
 		opts.MaxCases = 32
