@@ -1,6 +1,8 @@
 // Benchmark harness: one bench per table and figure of the paper's
-// evaluation (see EXPERIMENTS.md for the recorded outputs). Benches print
-// their artifact once, then measure the regeneration cost.
+// evaluation. Benches print their artifact once, then measure the
+// regeneration cost. Speed claims come from the pinned workloads in
+// bench/ instead (bench/README.md); CHANGES.md records each change's
+// measurements.
 package gauntlet_test
 
 import (
@@ -516,7 +518,7 @@ func BenchmarkServeEpochs(b *testing.B) {
 			cache := validate.NewCacheIn(smt.NewContext())
 			opts := validate.Options{MaxConflicts: 20000, Cache: cache}
 			for _, prog := range progs {
-				res, err := comp.Compile(ast.CloneProgram(prog))
+				res, err := comp.Compile(prog)
 				if err != nil {
 					b.Fatal(err)
 				}

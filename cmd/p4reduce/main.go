@@ -72,13 +72,13 @@ func main() {
 	switch {
 	case *crash:
 		keep = func(p *ast.Program) bool {
-			_, cerr := compiler.New(passes...).Compile(ast.CloneProgram(p))
+			_, cerr := compiler.New(passes...).Compile(p)
 			var ce *compiler.CrashError
 			return errors.As(cerr, &ce)
 		}
 	case *miscompile:
 		keep = func(p *ast.Program) bool {
-			res, cerr := compiler.New(passes...).Compile(ast.CloneProgram(p))
+			res, cerr := compiler.New(passes...).Compile(p)
 			if cerr != nil {
 				return false
 			}

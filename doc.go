@@ -9,10 +9,10 @@
 // test-case reducer, and a streaming fuzzing engine that runs all of it
 // as the continuous-integration service the paper proposes (§7.1).
 //
-// See README.md for the architecture overview, DESIGN.md for the system
-// inventory and substitutions, and EXPERIMENTS.md for paper-vs-measured
-// results. The benchmark harness in bench_test.go regenerates every table
-// and figure:
+// See ROADMAP.md for the design, the measured results and the open work,
+// bench/README.md for the pinned campaign workloads behind every speed
+// claim, and CHANGES.md for what each change did. The benchmark harness in
+// bench_test.go regenerates every table and figure:
 //
 //	go test -bench=. -benchmem .
 //

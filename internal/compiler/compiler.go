@@ -21,8 +21,11 @@ import (
 	"gauntlet/internal/p4/types"
 )
 
-// Pass is one compiler pass. Run receives a private clone of the program
-// and returns the transformed program (possibly the same object).
+// Pass is one compiler pass. Run may change the program it receives in
+// place and returns the transformed program (possibly the same object).
+// The program may share type objects between declarations and their uses,
+// as types.Check leaves them; the compiler passes each pass the previous
+// pass's output unchanged.
 type Pass interface {
 	// Name identifies the pass in snapshots and bug reports.
 	Name() string
@@ -134,35 +137,44 @@ func (c *Compiler) Passes() []Pass { return c.passes }
 // Compile runs the pipeline over prog (which is not mutated). It returns
 // the per-pass snapshots for translation validation. Pass panics are
 // converted to *CrashError.
+//
+// The passes rewrite one working copy of the checked program in place:
+// nothing reads a pass's input after the pass returns, because a
+// rewritten snapshot holds the re-parsed emitted text and the skip test
+// compares stored hashes. A pass output is hashed as it is printed, and
+// printed to text only when its hash differs from its predecessor's.
 func (c *Compiler) Compile(prog *ast.Program) (res *Result, err error) {
-	cur := ast.CloneProgram(prog)
-	if err := types.Check(cur); err != nil {
+	checked := ast.CloneProgram(prog)
+	if err := types.Check(checked); err != nil {
 		return nil, fmt.Errorf("input program does not type-check: %w", err)
 	}
-	text := printer.Print(cur)
+	text := printer.Print(checked)
+	h := printer.NewHash()
+	h.WriteString(text)
 	res = &Result{Snapshots: []Snapshot{{
 		Pass: "initial",
-		Prog: cur,
+		Prog: checked,
 		Text: text,
-		Hash: printer.Fingerprint(cur),
+		Hash: h.Sum64(),
 	}}}
 
+	cur := ast.CloneProgram(checked)
 	prevLen := len(text)
 	for _, p := range c.passes {
 		next, perr := c.runPass(p, cur)
 		if perr != nil {
 			return nil, perr
 		}
-		hash := printer.Fingerprint(next)
+		cur = next
+		hash := printer.Fingerprint(cur)
 		if hash == res.Snapshots[len(res.Snapshots)-1].Hash {
 			// The pass did not change the program; skip the snapshot
 			// (§5.2: "ignore any emitted intermediate program that has a
 			// hash identical to its predecessor").
 			res.Trace = append(res.Trace, PassEffect{Pass: p.Name()})
-			cur = next
 			continue
 		}
-		emitted := printer.Print(next)
+		emitted := printer.Print(cur)
 		res.Trace = append(res.Trace, PassEffect{
 			Pass: p.Name(), Rewrote: true, TextDelta: len(emitted) - prevLen,
 		})
@@ -182,20 +194,20 @@ func (c *Compiler) Compile(prog *ast.Program) (res *Result, err error) {
 			Text: emitted,
 			Hash: hash,
 		})
-		cur = next
 	}
 	res.Final = cur
 	return res, nil
 }
 
-// runPass executes one pass on a clone, converting panics to CrashError.
+// runPass executes one pass on the working program, converting panics to
+// CrashError.
 func (c *Compiler) runPass(p Pass, prog *ast.Program) (out *ast.Program, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &CrashError{Pass: p.Name(), Msg: fmt.Sprint(r)}
 		}
 	}()
-	out, err = p.Run(ast.CloneProgram(prog))
+	out, err = p.Run(prog)
 	if err != nil {
 		// An error return is abnormal pass termination just like a panic
 		// (the paper's crash taxonomy does not care how the pass died);

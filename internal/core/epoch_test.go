@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
+	"gauntlet/internal/generator"
+	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/smt"
 	"gauntlet/internal/validate"
 )
@@ -109,6 +112,51 @@ func TestEngineEpochRotationBoundsMemory(t *testing.T) {
 	if s.VerdictHits+s.VerdictMisses < retiredVerdicts {
 		t.Errorf("cumulative verdict counters (%d) lost retired epochs' share (%d)",
 			s.VerdictHits+s.VerdictMisses, retiredVerdicts)
+	}
+}
+
+// TestServeEpochMemoryPlateau is the serve-mode memory plateau as a
+// deterministic check: three epochs of the same compile+validate
+// workload, run serially, each in a fresh smt.Context/validate.Cache pair
+// as the engine's rotation installs it. With an identical workload any
+// difference between epochs is state crossing a rotation, so every
+// epoch's interner must hold exactly as many bytes as the first one's.
+// (Through the streaming engine the pipeline runs ahead of the fold, so
+// per-epoch terms smear across neighbours with scheduling; serial epochs
+// have no such noise.)
+func TestServeEpochMemoryPlateau(t *testing.T) {
+	const perEpoch = 8
+	progs := make([]*ast.Program, perEpoch)
+	for i := range progs {
+		progs[i] = generator.Generate(generator.DefaultConfig(int64(i)))
+	}
+	comp := compiler.New(compiler.DefaultPasses()...)
+	var bytes [3]uint64
+	for epoch := range bytes {
+		cache := validate.NewCacheIn(smt.NewContext())
+		opts := validate.Options{MaxConflicts: 20000, Cache: cache}
+		for _, prog := range progs {
+			res, err := comp.Compile(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdicts, err := validate.Snapshots(res, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(validate.Failures(verdicts)) != 0 {
+				t.Fatal("reference pipeline flagged")
+			}
+		}
+		bytes[epoch] = cache.Context().InternerStats().BytesEstimate
+	}
+	if bytes[0] == 0 {
+		t.Fatal("the first epoch interned nothing")
+	}
+	for epoch, b := range bytes {
+		if b != bytes[0] {
+			t.Errorf("epoch %d interner holds %d bytes, epoch 1 %d: state crosses the rotation", epoch+1, b, bytes[0])
+		}
 	}
 }
 

@@ -2,8 +2,10 @@ package ast
 
 import "fmt"
 
-// CloneProgram deep-copies a program. Compiler passes always transform a
-// clone so earlier snapshots stay intact for translation validation.
+// CloneProgram deep-copies a program, type objects included, so nothing
+// done to the copy shows in the original. The compiler clones its input
+// once for the initial snapshot and once more as the working program its
+// passes rewrite in place.
 func CloneProgram(p *Program) *Program {
 	out := &Program{Decls: make([]Decl, len(p.Decls))}
 	for i, d := range p.Decls {

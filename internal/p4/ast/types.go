@@ -218,8 +218,8 @@ func BitWidth(t Type) int {
 }
 
 // CloneType deep-copies a type. Declared types share field slices safely
-// because fields are never mutated after declaration, but we copy anyway to
-// preserve the passes-transform-clones discipline.
+// because fields are never mutated after declaration, but the copy keeps a
+// clone free of any object its original holds.
 func CloneType(t Type) Type {
 	switch t := t.(type) {
 	case nil:

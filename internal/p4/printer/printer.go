@@ -3,15 +3,18 @@
 // program after every pass and re-parses it, so printing must round-trip
 // through the parser — a property-tested invariant of this repository.
 //
-// The printer also provides Fingerprint, a structural hash of the printed
-// form used to skip pass outputs identical to their predecessor, exactly as
-// the paper describes ("ignore any emitted intermediate program that has a
-// hash identical to its predecessor").
+// The printer also provides Fingerprint, the 64-bit FNV-1a hash of the
+// printed form, used to skip pass outputs identical to their predecessor,
+// exactly as the paper describes ("ignore any emitted intermediate program
+// that has a hash identical to its predecessor"). Fingerprint feeds the
+// printer's bytes straight into the hash, so it never builds the text; it
+// equals FNV-1a over Print's output. Hash extends the same streaming to
+// callers that hash printed declarations.
 package printer
 
 import (
 	"fmt"
-	"hash/fnv"
+	"strconv"
 	"strings"
 
 	"gauntlet/internal/p4/ast"
@@ -20,12 +23,7 @@ import (
 // Print renders a complete program as P4 source text.
 func Print(p *ast.Program) string {
 	var pr pr
-	for i, d := range p.Decls {
-		if i > 0 {
-			pr.nl()
-		}
-		pr.decl(d)
-	}
+	pr.program(p)
 	return pr.b.String()
 }
 
@@ -43,56 +41,164 @@ func PrintExpr(e ast.Expr) string {
 	return pr.b.String()
 }
 
-// Fingerprint returns a 64-bit FNV-1a hash of the printed program, used to
-// detect no-op compiler passes.
+// Fingerprint returns the 64-bit FNV-1a hash of Print(p), used to detect
+// no-op compiler passes. It hashes the bytes as the printer produces
+// them instead of building the text.
 func Fingerprint(p *ast.Program) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(Print(p)))
-	return h.Sum64()
+	pr := pr{hashing: true, h: NewHash()}
+	pr.program(p)
+	return pr.h.Sum64()
 }
 
+// FNV-1a parameters (hash/fnv's New64a).
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+// Hash is a running 64-bit FNV-1a hash: fed the same bytes, it sums to
+// what hash/fnv's New64a sums to. Unlike hash/fnv it takes strings and
+// printed declarations without copying them into a byte slice first.
+type Hash struct{ sum uint64 }
+
+// NewHash returns the hash of no bytes.
+func NewHash() Hash { return Hash{offset64} }
+
+// Write adds b to the hash.
+func (h *Hash) Write(b []byte) { h.sum = fnv1a(h.sum, b) }
+
+// WriteString adds s to the hash.
+func (h *Hash) WriteString(s string) { h.sum = fnv1a(h.sum, s) }
+
+// WriteDecl adds PrintDecl(d)'s bytes to the hash without building them.
+func (h *Hash) WriteDecl(d ast.Decl) {
+	pr := pr{hashing: true, h: *h}
+	pr.decl(d)
+	*h = pr.h
+}
+
+// Sum64 returns the hash of everything written so far.
+func (h Hash) Sum64() uint64 { return h.sum }
+
+func fnv1a[T string | []byte](sum uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		sum ^= uint64(b[i])
+		sum *= prime64
+	}
+	return sum
+}
+
+// pr is the printer. It appends to b, or, when hashing, feeds every byte
+// into h instead; all output goes through ws and wb, so both sinks see
+// the same bytes.
 type pr struct {
-	b      strings.Builder
-	indent int
+	b       strings.Builder
+	indent  int
+	hashing bool
+	h       Hash
 }
 
-func (p *pr) nl() {
-	p.b.WriteByte('\n')
-	for i := 0; i < p.indent; i++ {
-		p.b.WriteString("    ")
+func (p *pr) program(prog *ast.Program) {
+	for i, d := range prog.Decls {
+		if i > 0 {
+			p.nl()
+		}
+		p.decl(d)
 	}
 }
 
-func (p *pr) ws(s string) { p.b.WriteString(s) }
+// newline is a line break followed by sixteen levels of indentation; nl
+// writes a prefix of it.
+const newline = "\n" +
+	"                                " +
+	"                                "
+
+func (p *pr) nl() {
+	if n := 1 + 4*p.indent; n <= len(newline) {
+		p.ws(newline[:n])
+		return
+	}
+	p.ws("\n")
+	for i := 0; i < p.indent; i++ {
+		p.ws("    ")
+	}
+}
+
+func (p *pr) ws(parts ...string) {
+	for _, s := range parts {
+		if p.hashing {
+			p.h.WriteString(s)
+		} else {
+			p.b.WriteString(s)
+		}
+	}
+}
+
+func (p *pr) wb(b []byte) {
+	if p.hashing {
+		p.h.Write(b)
+		return
+	}
+	p.b.Write(b)
+}
+
+// int writes v in decimal, as fmt's %d does.
+func (p *pr) int(v int) {
+	var buf [20]byte
+	p.wb(strconv.AppendInt(buf[:0], int64(v), 10))
+}
+
+// uint writes v in decimal, as fmt's %d does.
+func (p *pr) uint(v uint64) {
+	var buf [20]byte
+	p.wb(strconv.AppendUint(buf[:0], v, 10))
+}
+
+// typ writes t as t.String() renders it, without formatting bit<W>
+// through fmt.
+func (p *pr) typ(t ast.Type) {
+	if b, ok := t.(*ast.BitType); ok {
+		p.ws("bit<")
+		p.int(b.Width)
+		p.ws(">")
+		return
+	}
+	p.ws(t.String())
+}
 
 func (p *pr) decl(d ast.Decl) {
 	switch d := d.(type) {
 	case *ast.HeaderDecl:
-		p.ws("header " + d.Name + " {")
+		p.ws("header ", d.Name, " {")
 		p.fields(d.Fields)
 		p.ws("}")
 		p.nl()
 	case *ast.StructDecl:
-		p.ws("struct " + d.Name + " {")
+		p.ws("struct ", d.Name, " {")
 		p.fields(d.Fields)
 		p.ws("}")
 		p.nl()
 	case *ast.TypedefDecl:
-		p.ws("typedef " + d.Type.String() + " " + d.Name + ";")
+		p.ws("typedef ")
+		p.typ(d.Type)
+		p.ws(" ", d.Name, ";")
 		p.nl()
 	case *ast.ConstDecl:
-		p.ws("const " + d.Type.String() + " " + d.Name + " = ")
+		p.ws("const ")
+		p.typ(d.Type)
+		p.ws(" ", d.Name, " = ")
 		p.expr(d.Value, precLowest)
 		p.ws(";")
 		p.nl()
 	case *ast.ActionDecl:
-		p.ws("action " + d.Name + "(")
+		p.ws("action ", d.Name, "(")
 		p.params(d.Params)
 		p.ws(") ")
 		p.block(d.Body)
 		p.nl()
 	case *ast.FunctionDecl:
-		p.ws(d.Return.String() + " " + d.Name + "(")
+		p.typ(d.Return)
+		p.ws(" ", d.Name, "(")
 		p.params(d.Params)
 		p.ws(") ")
 		p.block(d.Body)
@@ -100,7 +206,8 @@ func (p *pr) decl(d ast.Decl) {
 	case *ast.TableDecl:
 		p.table(d)
 	case *ast.VarDecl:
-		p.ws(d.Type.String() + " " + d.Name)
+		p.typ(d.Type)
+		p.ws(" ", d.Name)
 		if d.Init != nil {
 			p.ws(" = ")
 			p.expr(d.Init, precLowest)
@@ -108,7 +215,7 @@ func (p *pr) decl(d ast.Decl) {
 		p.ws(";")
 		p.nl()
 	case *ast.ControlDecl:
-		p.ws("control " + d.Name + "(")
+		p.ws("control ", d.Name, "(")
 		p.params(d.Params)
 		p.ws(") {")
 		p.indent++
@@ -124,7 +231,7 @@ func (p *pr) decl(d ast.Decl) {
 		p.ws("}")
 		p.nl()
 	case *ast.ParserDecl:
-		p.ws("parser " + d.Name + "(")
+		p.ws("parser ", d.Name, "(")
 		p.params(d.Params)
 		p.ws(") {")
 		p.indent++
@@ -137,7 +244,14 @@ func (p *pr) decl(d ast.Decl) {
 		p.ws("}")
 		p.nl()
 	case *ast.Instantiation:
-		p.ws(d.Package + "(" + strings.Join(d.Args, ", ") + ") " + d.Name + ";")
+		p.ws(d.Package, "(")
+		for i, a := range d.Args {
+			if i > 0 {
+				p.ws(", ")
+			}
+			p.ws(a)
+		}
+		p.ws(") ", d.Name, ";")
 		p.nl()
 	default:
 		panic(fmt.Sprintf("printer: unknown declaration %T", d))
@@ -148,7 +262,8 @@ func (p *pr) fields(fs []ast.Field) {
 	p.indent++
 	for _, f := range fs {
 		p.nl()
-		p.ws(f.Type.String() + " " + f.Name + ";")
+		p.typ(f.Type)
+		p.ws(" ", f.Name, ";")
 	}
 	p.indent--
 	p.nl()
@@ -159,12 +274,16 @@ func (p *pr) params(ps []ast.Param) {
 		if i > 0 {
 			p.ws(", ")
 		}
-		p.ws(prm.String())
+		if d := prm.Dir.String(); d != "" {
+			p.ws(d, " ")
+		}
+		p.typ(prm.Type)
+		p.ws(" ", prm.Name)
 	}
 }
 
 func (p *pr) table(d *ast.TableDecl) {
-	p.ws("table " + d.Name + " {")
+	p.ws("table ", d.Name, " {")
 	p.indent++
 	if len(d.Keys) > 0 {
 		p.nl()
@@ -173,7 +292,7 @@ func (p *pr) table(d *ast.TableDecl) {
 		for _, k := range d.Keys {
 			p.nl()
 			p.expr(k.Expr, precLowest)
-			p.ws(" : " + k.Match.String() + ";")
+			p.ws(" : ", k.Match.String(), ";")
 		}
 		p.indent--
 		p.nl()
@@ -184,14 +303,14 @@ func (p *pr) table(d *ast.TableDecl) {
 	p.indent++
 	for _, a := range d.Actions {
 		p.nl()
-		p.ws(a.Name + ";")
+		p.ws(a.Name, ";")
 	}
 	p.indent--
 	p.nl()
 	p.ws("}")
 	if d.Default != nil {
 		p.nl()
-		p.ws("default_action = " + d.Default.Name + "(")
+		p.ws("default_action = ", d.Default.Name, "(")
 		for i, a := range d.Default.Args {
 			if i > 0 {
 				p.ws(", ")
@@ -207,7 +326,7 @@ func (p *pr) table(d *ast.TableDecl) {
 }
 
 func (p *pr) state(s *ast.ParserState) {
-	p.ws("state " + s.Name + " {")
+	p.ws("state ", s.Name, " {")
 	p.indent++
 	for _, st := range s.Stmts {
 		p.nl()
@@ -217,7 +336,7 @@ func (p *pr) state(s *ast.ParserState) {
 		p.nl()
 		switch t := s.Trans.(type) {
 		case *ast.TransDirect:
-			p.ws("transition " + t.Next + ";")
+			p.ws("transition ", t.Next, ";")
 		case *ast.TransSelect:
 			p.ws("transition select(")
 			p.expr(t.Expr, precLowest)
@@ -230,7 +349,7 @@ func (p *pr) state(s *ast.ParserState) {
 				} else {
 					p.expr(c.Value, precLowest)
 				}
-				p.ws(" : " + c.Next + ";")
+				p.ws(" : ", c.Next, ";")
 			}
 			p.indent--
 			p.nl()
@@ -266,14 +385,17 @@ func (p *pr) stmt(s ast.Stmt) {
 		p.expr(s.RHS, precLowest)
 		p.ws(";")
 	case *ast.VarDeclStmt:
-		p.ws(s.Type.String() + " " + s.Name)
+		p.typ(s.Type)
+		p.ws(" ", s.Name)
 		if s.Init != nil {
 			p.ws(" = ")
 			p.expr(s.Init, precLowest)
 		}
 		p.ws(";")
 	case *ast.ConstDeclStmt:
-		p.ws("const " + s.Type.String() + " " + s.Name + " = ")
+		p.ws("const ")
+		p.typ(s.Type)
+		p.ws(" ", s.Name, " = ")
 		p.expr(s.Value, precLowest)
 		p.ws(";")
 	case *ast.IfStmt:
@@ -393,10 +515,10 @@ func (p *pr) expr(e ast.Expr, ctx int) {
 		p.ws(e.Name)
 	case *ast.IntLit:
 		if e.Width > 0 {
-			fmt.Fprintf(&p.b, "%dw%d", e.Width, e.Val)
-		} else {
-			fmt.Fprintf(&p.b, "%d", e.Val)
+			p.int(e.Width)
+			p.ws("w")
 		}
+		p.uint(e.Val)
 	case *ast.BoolLit:
 		if e.Val {
 			p.ws("true")
@@ -413,7 +535,7 @@ func (p *pr) expr(e ast.Expr, ctx int) {
 		p.paren(ctx > prec, func() {
 			// Left-associative: left child at prec, right child one tighter.
 			p.expr(e.X, prec)
-			p.ws(" " + e.Op.String() + " ")
+			p.ws(" ", e.Op.String(), " ")
 			p.expr(e.Y, prec+1)
 		})
 	case *ast.MuxExpr:
@@ -426,15 +548,21 @@ func (p *pr) expr(e ast.Expr, ctx int) {
 		})
 	case *ast.CastExpr:
 		p.paren(ctx > precUnary, func() {
-			p.ws("(" + e.To.String() + ") ")
+			p.ws("(")
+			p.typ(e.To)
+			p.ws(") ")
 			p.expr(e.X, precUnary)
 		})
 	case *ast.MemberExpr:
 		p.expr(e.X, precPrim)
-		p.ws("." + e.Member)
+		p.ws(".", e.Member)
 	case *ast.SliceExpr:
 		p.expr(e.X, precPrim)
-		fmt.Fprintf(&p.b, "[%d:%d]", e.Hi, e.Lo)
+		p.ws("[")
+		p.int(e.Hi)
+		p.ws(":")
+		p.int(e.Lo)
+		p.ws("]")
 	case *ast.CallExpr:
 		p.expr(e.Func, precPrim)
 		p.ws("(")

@@ -1,9 +1,11 @@
 package printer_test
 
 import (
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 
+	"gauntlet/internal/bugs"
 	"gauntlet/internal/generator"
 	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/parser"
@@ -55,6 +57,56 @@ func TestFingerprintDetectsChange(t *testing.T) {
 	}
 	if printer.Fingerprint(clone) == h1 {
 		t.Fatal("fingerprint unchanged after mutation")
+	}
+}
+
+// hashPrinted is FNV-1a over the built text, the plain hash/fnv way.
+func hashPrinted(text string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(text))
+	return h.Sum64()
+}
+
+// TestFingerprintIsHashOfPrint: the streamed Fingerprint is FNV-1a over
+// Print's text, and Hash over printed declarations is FNV-1a over
+// PrintDecl's text, on generator programs of both backends and every
+// registry witness.
+func TestFingerprintIsHashOfPrint(t *testing.T) {
+	var progs []*ast.Program
+	for seed := int64(0); seed < 32; seed++ {
+		for _, backend := range []generator.Backend{generator.V1Model, generator.TNA} {
+			cfg := generator.DefaultConfig(seed)
+			cfg.Backend = backend
+			progs = append(progs, generator.Generate(cfg))
+		}
+	}
+	for _, b := range bugs.Load().Bugs {
+		p, err := parser.Parse(b.Witness)
+		if err != nil {
+			t.Fatalf("%s: witness: %v", b.ID, err)
+		}
+		progs = append(progs, p)
+	}
+	for i, p := range progs {
+		text := printer.Print(p)
+		if got, want := printer.Fingerprint(p), hashPrinted(text); got != want {
+			t.Errorf("program %d: Fingerprint %#x, FNV-1a of Print %#x", i, got, want)
+		}
+		h := printer.NewHash()
+		h.WriteString(text)
+		if got, want := h.Sum64(), hashPrinted(text); got != want {
+			t.Errorf("program %d: WriteString %#x, FNV-1a %#x", i, got, want)
+		}
+		// WriteDecl continues the running hash, as the cache's context
+		// key uses it.
+		all, concat := printer.NewHash(), ""
+		for _, d := range p.Decls {
+			all.WriteDecl(d)
+			concat += printer.PrintDecl(d)
+		}
+		if got, want := all.Sum64(), hashPrinted(concat); got != want {
+			t.Errorf("program %d: WriteDecl %#x, FNV-1a of PrintDecl %#x", i, got, want)
+		}
 	}
 }
 

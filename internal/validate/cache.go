@@ -2,7 +2,6 @@ package validate
 
 import (
 	"context"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -177,14 +176,17 @@ func (s *CacheStats) Add(o CacheStats) {
 // other parser/control declarations are excluded — a block never reads
 // them. Two programs may print a block identically yet mean different
 // formulas under different contexts, so the context is part of the key.
+//
+// Both keys are FNV-1a over the printed declarations, which the printer
+// hashes as it prints them.
 func contextKey(prog *ast.Program) uint64 {
-	h := fnv.New64a()
+	h := printer.NewHash()
 	for _, d := range prog.Decls {
 		switch d.(type) {
 		case *ast.ControlDecl, *ast.ParserDecl:
 			continue
 		}
-		h.Write([]byte(printer.PrintDecl(d)))
+		h.WriteDecl(d)
 	}
 	return h.Sum64()
 }
@@ -192,13 +194,13 @@ func contextKey(prog *ast.Program) uint64 {
 // blockKey hashes one block's printed declaration under the program's
 // declaration context.
 func blockKey(consts uint64, d ast.Decl) uint64 {
-	h := fnv.New64a()
+	h := printer.NewHash()
 	var buf [8]byte
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(consts >> (8 * i))
 	}
 	h.Write(buf[:])
-	h.Write([]byte(printer.PrintDecl(d)))
+	h.WriteDecl(d)
 	return h.Sum64()
 }
 
