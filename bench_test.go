@@ -1,32 +1,25 @@
 // Benchmark harness: one bench per table and figure of the paper's
-// evaluation. Benches print their artifact once, then measure the
-// regeneration cost. Speed claims come from the pinned workloads in
-// bench/ instead (bench/README.md); CHANGES.md records each change's
-// measurements.
+// evaluation, plus single-layer micro-benchmarks (warm validation, the
+// §5.2 pipeline rate, generation, compile, one equivalence query).
+// Benches print their artifact once, then measure the regeneration cost;
+// Figure 5, §8 and the §6.2 ablation also fail on a wrong result. Speed
+// claims come from the pinned workloads in bench/ instead
+// (bench/README.md); CHANGES.md records each change's measurements.
 package gauntlet_test
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"gauntlet/internal/bugs"
 	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
-	"gauntlet/internal/fleet"
 	"gauntlet/internal/generator"
-	"gauntlet/internal/obs"
-	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/eval"
 	"gauntlet/internal/p4/parser"
 	"gauntlet/internal/p4/printer"
 	"gauntlet/internal/p4/types"
-	"gauntlet/internal/persist"
-	"gauntlet/internal/reduce"
 	"gauntlet/internal/smt"
 	"gauntlet/internal/smt/solver"
 	"gauntlet/internal/sym"
@@ -321,225 +314,6 @@ func BenchmarkEquivalenceQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkConcolicFalsify measures the bit-parallel concrete fast path
-// in the regime it exists for — equivalence queries with a real
-// counterexample, the mismatch-verdict and reduction-candidate hot path.
-// The harvest phase compiles fixed-seed programs through a pass pipeline
-// instrumented with two miscompiling mutations and keeps the
-// (input, final) pairs the defects made inequivalent; the timed runs
-// re-validate those pairs through fresh caches with the tape stage off
-// (every verdict goes to the solver) and on. Both report
-// ns/equivalence-query; on also reports tape throughput (packets/sec)
-// and the fraction of fresh verdicts a concrete counterexample settled
-// before any solver call. The trajectory gate (cmd/benchjson) fails CI
-// when that fraction is zero or when the fast path costs more than 5%
-// over solver-only.
-func BenchmarkConcolicFalsify(b *testing.B) {
-	reg := bugs.Load()
-	var active []*bugs.Bug
-	for _, id := range []string{"P4C-S-02", "P4C-S-06"} {
-		bug := reg.ByID(id)
-		if bug == nil {
-			b.Fatalf("registry has no bug %s", id)
-		}
-		active = append(active, bug)
-	}
-	comp := compiler.New(bugs.Instrument(compiler.DefaultPasses(), active)...)
-	type progPair struct{ in, out *ast.Program }
-	var pairs []progPair
-	harvest := validate.NewCache()
-	for seed := int64(0); len(pairs) < 8 && seed < 64; seed++ {
-		res, err := comp.Compile(generator.Generate(generator.DefaultConfig(seed)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		in, out := res.Snapshots[0].Prog, res.Final
-		verdicts, err := validate.Pair(in, out, validate.Options{
-			MaxConflicts: 20000, Cache: harvest})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(validate.Failures(verdicts)) > 0 {
-			pairs = append(pairs, progPair{in, out})
-		}
-	}
-	if len(pairs) < 4 {
-		b.Fatalf("only %d inequivalent pairs harvested; the seeded defects should fire more often", len(pairs))
-	}
-	run := func(b *testing.B, con validate.Concolic) float64 {
-		var queries, misses, falsified, packets, fails uint64
-		for i := 0; i < b.N; i++ {
-			cache := validate.NewCache()
-			for _, p := range pairs {
-				verdicts, err := validate.Pair(p.in, p.out, validate.Options{
-					MaxConflicts: 20000, Cache: cache, Concolic: con})
-				if err != nil {
-					b.Fatal(err)
-				}
-				fails += uint64(len(validate.Failures(verdicts)))
-			}
-			s := cache.Snapshot()
-			queries += s.VerdictHits + s.VerdictMisses
-			misses += s.VerdictMisses
-			falsified += s.ConcolicFalsified
-			packets += s.ConcolicPackets
-		}
-		if fails == 0 {
-			b.Fatal("harvested inequivalent pairs produced no inequivalence verdicts")
-		}
-		nsPerQuery := float64(b.Elapsed().Nanoseconds()) / float64(queries)
-		b.ReportMetric(nsPerQuery, "ns/equivalence-query")
-		if !con.Disable {
-			b.ReportMetric(float64(packets)/b.Elapsed().Seconds(), "packets/sec")
-			b.ReportMetric(float64(falsified)/float64(misses)*100, "falsified-%")
-		}
-		return nsPerQuery
-	}
-	b.Run("off", func(b *testing.B) {
-		concolicOffNs = run(b, validate.Concolic{Disable: true})
-	})
-	b.Run("on", func(b *testing.B) {
-		ns := run(b, validate.Concolic{})
-		if concolicOffNs > 0 {
-			b.ReportMetric(ns/concolicOffNs, "x-vs-off")
-		}
-	})
-}
-
-var concolicOffNs float64
-
-// BenchmarkGateReuse measures structural gate-cache reuse while blasting
-// a near-identical miter — the reduction-candidate regime, where the two
-// sides differ in one buried leaf. The reuse rate must be nonzero (the CI
-// bench smoke asserts it): if the structural-hash path stops collapsing
-// repeated structure, this fails rather than silently regressing.
-func BenchmarkGateReuse(b *testing.B) {
-	x := smt.Var("gx", 8)
-	y := smt.Var("gy", 8)
-	z := smt.Var("gz", 8)
-	side := func(leaf uint64) *smt.Term {
-		t := smt.Mul(smt.Add(x, y), z)
-		u := smt.BVAnd(t, smt.BVXor(x, smt.Const(leaf, 8)))
-		return smt.Sub(smt.BVOr(u, t), smt.Add(y, smt.BVXor(z, x)))
-	}
-	// Two sides sharing everything except one xor constant, plus a
-	// commuted duplicate of the whole A side (pure gate-level overlap).
-	miter := smt.Or(
-		smt.Ne(side(0x10), side(0x20)),
-		smt.Ne(smt.Add(x, y), smt.Add(y, x)))
-	var pct float64
-	for i := 0; i < b.N; i++ {
-		bl := solver.NewBlaster()
-		bl.Assert(miter)
-		built, reused := bl.GateStats()
-		if built+reused == 0 {
-			b.Fatal("miter blasted no gates")
-		}
-		pct = float64(reused) / float64(built+reused) * 100
-		if pct == 0 {
-			b.Fatal("structural gate cache reported zero reuse on a near-identical miter")
-		}
-	}
-	b.ReportMetric(pct, "gates-reused-%")
-}
-
-// BenchmarkCorpusFuzz measures the coverage-guided corpus engine against
-// pure grammar generation on the same fixed budget: programs/sec (the
-// mutation path adds a type-check gate and the admission round barrier —
-// the CI gate in cmd/benchjson fails if that costs more than half the
-// generation-mode throughput) and behavioural diversity (distinct
-// coverage fingerprints reached, admission rate). SyncInterval is set
-// below the batch size so mutation actually engages within the budget.
-func BenchmarkCorpusFuzz(b *testing.B) {
-	run := func(b *testing.B, ratio float64) {
-		var admitted, rejected, fps, mutated uint64
-		for i := 0; i < b.N; i++ {
-			cfg := core.DefaultEngineConfig()
-			cfg.StartSeed = int64(i) * fuzzBatch
-			cfg.Seeds = fuzzBatch
-			cfg.Seed = 42 + int64(i)
-			cfg.Workers = 8
-			cfg.MutateRatio = ratio
-			cfg.SyncInterval = 8
-			cfg.MaxMutations = 6
-			cfg.Passes = compiler.DefaultPasses()
-			engine := core.NewEngine(cfg)
-			if findings := engine.Run(context.Background()); len(findings) > 0 {
-				b.Fatalf("reference pipeline produced findings: %+v", findings[0])
-			}
-			s := engine.Stats()
-			admitted += s.Corpus.Admitted
-			rejected += s.Corpus.Rejected
-			fps += uint64(s.Corpus.Fingerprints)
-			mutated += s.Mutated
-		}
-		b.ReportMetric(float64(b.N*fuzzBatch)/b.Elapsed().Seconds(), "programs/sec")
-		if admitted+rejected > 0 {
-			b.ReportMetric(float64(admitted)/float64(admitted+rejected)*100, "admission-%")
-		}
-		b.ReportMetric(float64(fps)/float64(b.N), "coverage-fingerprints/run")
-		b.ReportMetric(float64(mutated)/float64(b.N), "mutated/run")
-		if ratio > 0 && mutated == 0 {
-			b.Fatal("mutation mode never mutated: the corpus feedback loop is dead")
-		}
-	}
-	b.Run("generation", func(b *testing.B) { run(b, 0) })
-	b.Run("mutation", func(b *testing.B) { run(b, 0.6) })
-}
-
-// BenchmarkServeEpochs measures the serve-mode memory contract at the
-// layer it is enforced: three context epochs, each running the identical
-// compile+validate workload (64 fixed-seed programs) in a fresh
-// smt.Context + validate.Cache pair — exactly what core.Engine's
-// rotation installs — and reporting every epoch's interner bytes. With
-// an identical workload, any epoch-over-epoch growth is state leaking
-// across rotations, so the trajectory gate (cmd/benchjson) fails CI when
-// an epoch exceeds its predecessor by more than 15%.
-//
-// The epochs are driven serially rather than through the streaming
-// engine on purpose: the pipeline runs ahead of the fold boundary, so
-// engine-side epoch attribution smears tens of percent of one epoch's
-// terms into its neighbours depending on scheduling — workload noise
-// that would swamp a 15% gate. (Engine-level rotation correctness —
-// determinism, drain, bounded live interner — is covered by the
-// race-enabled core tests.)
-func BenchmarkServeEpochs(b *testing.B) {
-	const perEpoch = 64
-	progs := make([]*ast.Program, perEpoch)
-	for i := range progs {
-		progs[i] = generator.Generate(generator.DefaultConfig(int64(i)))
-	}
-	comp := compiler.New(compiler.DefaultPasses()...)
-	var epochBytes [3]float64
-	var epochCount int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for epoch := 0; epoch < 3; epoch++ {
-			cache := validate.NewCacheIn(smt.NewContext())
-			opts := validate.Options{MaxConflicts: 20000, Cache: cache}
-			for _, prog := range progs {
-				res, err := comp.Compile(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				verdicts, err := validate.Snapshots(res, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(validate.Failures(verdicts)) != 0 {
-					b.Fatal("reference pipeline flagged")
-				}
-			}
-			epochBytes[epoch] += float64(cache.Context().InternerStats().BytesEstimate)
-		}
-		epochCount++
-	}
-	b.ReportMetric(float64(3*perEpoch*epochCount)/b.Elapsed().Seconds(), "programs/sec")
-	for j := 0; j < 3; j++ {
-		b.ReportMetric(epochBytes[j]/float64(epochCount), fmt.Sprintf("epoch%d-ctx-bytes", j+1))
-	}
-}
-
 // BenchmarkSymbolicExecutionTests measures Figure 4's test generation +
 // device execution for a two-header program.
 func BenchmarkSymbolicExecutionTests(b *testing.B) {
@@ -613,360 +387,3 @@ func BenchmarkAblation_ModelPreferences(b *testing.B) {
 		}
 	}
 }
-
-// fuzzBatch is the per-iteration program count for the fuzz-throughput
-// benchmarks: large enough to amortize pipeline spin-up, small enough for
-// -benchtime=1x CI smoke runs.
-const fuzzBatch = 64
-
-// seqFuzzRate remembers the sequential baseline's programs/sec so the
-// engine sub-benchmarks can report their speedup over it in the same run.
-var seqFuzzRate float64
-
-// BenchmarkEngineFuzz measures the streaming fuzzing engine (generate →
-// compile → oracle → dedup → reduce over bounded channels and per-stage
-// worker pools) against the sequential seed loop it replaced. The
-// "sequential-baseline" case is the old `p4gauntlet -mode fuzz` body:
-// one goroutine, a fresh private validation cache per program. The engine
-// cases share one validation cache and the process-wide interner across
-// workers while isolating everything mutable per program, so the oracle
-// work spreads across cores: the x-vs-sequential metric tracks GOMAXPROCS
-// (≈8× at 8 workers on ≥8 cores; on a single-core runner it can only show
-// the pipeline's bounded overhead).
-func BenchmarkEngineFuzz(b *testing.B) {
-	b.Run("sequential-baseline", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			comp := compiler.New(compiler.DefaultPasses()...)
-			for seed := int64(0); seed < fuzzBatch; seed++ {
-				prog := generator.Generate(generator.DefaultConfig(int64(i)*fuzzBatch + seed))
-				res, err := comp.Compile(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				verdicts, err := validate.Snapshots(res, validate.Options{MaxConflicts: 20000})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if fails := validate.Failures(verdicts); len(fails) > 0 {
-					b.Fatalf("reference pipeline miscompiled seed %d: %s", seed, fails[0])
-				}
-			}
-		}
-		seqFuzzRate = float64(b.N*fuzzBatch) / b.Elapsed().Seconds()
-		b.ReportMetric(seqFuzzRate, "programs/sec")
-	})
-	for _, workers := range []int{1, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			gb0, gr0 := solver.GateStats()
-			var simpResolved uint64
-			for i := 0; i < b.N; i++ {
-				cfg := core.DefaultEngineConfig()
-				cfg.StartSeed = int64(i) * fuzzBatch
-				cfg.Seeds = fuzzBatch
-				cfg.Workers = workers
-				cfg.Passes = compiler.DefaultPasses()
-				engine := core.NewEngine(cfg)
-				if findings := engine.Run(context.Background()); len(findings) > 0 {
-					b.Fatalf("reference pipeline produced findings: %+v", findings[0])
-				}
-				simpResolved += engine.Stats().SimpResolved
-			}
-			rate := float64(b.N*fuzzBatch) / b.Elapsed().Seconds()
-			b.ReportMetric(rate, "programs/sec")
-			if seqFuzzRate > 0 {
-				b.ReportMetric(rate/seqFuzzRate, "x-vs-sequential")
-			}
-			// Structural sharing effectiveness over the run: gate-cache
-			// reuse in the blaster, and equivalence queries the word-level
-			// simplifier answered without any solver call.
-			gb1, gr1 := solver.GateStats()
-			if total := (gb1 - gb0) + (gr1 - gr0); total > 0 {
-				b.ReportMetric(float64(gr1-gr0)/float64(total)*100, "gates-reused-%")
-			}
-			b.ReportMetric(float64(simpResolved)/float64(b.N), "simp-resolved/run")
-		})
-	}
-}
-
-// BenchmarkResilientFuzz measures what the robustness layer costs on the
-// fuzz hot path: the same fixed-seed engine workload run plain (the
-// BenchmarkEngineFuzz configuration) and armed — stage watchdogs
-// (supervised goroutine per stage call), the oracle deadline ladder, and
-// durable state (fsynced findings journal plus periodic atomic corpus
-// checkpoints). The trajectory gate in cmd/benchjson fails CI when the
-// armed run gives up more than 5% of plain programs/sec.
-func BenchmarkResilientFuzz(b *testing.B) {
-	run := func(b *testing.B, arm func(b *testing.B, cfg *core.EngineConfig, engine **core.Engine)) float64 {
-		var engine *core.Engine
-		for i := 0; i < b.N; i++ {
-			cfg := core.DefaultEngineConfig()
-			cfg.StartSeed = int64(i) * fuzzBatch
-			cfg.Seeds = fuzzBatch
-			cfg.Workers = 8
-			cfg.Passes = compiler.DefaultPasses()
-			if arm != nil {
-				arm(b, &cfg, &engine)
-			}
-			engine = core.NewEngine(cfg)
-			if findings := engine.Run(context.Background()); len(findings) > 0 {
-				b.Fatalf("reference pipeline produced findings: %+v", findings[0])
-			}
-			if s := engine.Stats(); s.Quarantined != 0 {
-				b.Fatalf("clean workload quarantined %d programs", s.Quarantined)
-			}
-		}
-		rate := float64(b.N*fuzzBatch) / b.Elapsed().Seconds()
-		b.ReportMetric(rate, "programs/sec")
-		return rate
-	}
-	b.Run("plain", func(b *testing.B) {
-		resilientPlainRate = run(b, nil)
-	})
-	b.Run("armed", func(b *testing.B) {
-		st, err := persist.Open(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		rate := run(b, func(b *testing.B, cfg *core.EngineConfig, engine **core.Engine) {
-			cfg.StageTimeout = 30 * time.Second
-			cfg.OracleTimeout = 10 * time.Second
-			cfg.CheckpointPrograms = 32
-			cfg.OnFinding = func(f core.Finding) {
-				if err := st.AppendFinding(f); err != nil {
-					b.Error(err)
-				}
-			}
-			seedVal := cfg.Seed
-			cfg.OnCheckpoint = func(next int64) {
-				err := st.SaveCheckpoint(&persist.Checkpoint{
-					NextSlot: next, Seed: seedVal, Corpus: (*engine).Corpus().Snapshot(),
-				})
-				if err != nil {
-					b.Error(err)
-				}
-			}
-		})
-		if resilientPlainRate > 0 {
-			b.ReportMetric((1-rate/resilientPlainRate)*100, "overhead-%")
-		}
-	})
-}
-
-var resilientPlainRate float64
-
-// BenchmarkObsOverhead measures what the introspection plane costs on
-// the fuzz hot path: the same fixed-seed engine workload run plain and
-// with a metrics registry installed (per-stage latency histograms,
-// per-tier equivalence-query histograms, the stats collector).
-// Provenance traces are assembled in both arms — they are always on —
-// so the delta isolates the instrument writes. The trajectory gate in
-// cmd/benchjson fails CI when the instrumented run gives up more than
-// 5% of plain programs/sec.
-func BenchmarkObsOverhead(b *testing.B) {
-	run := func(b *testing.B, instrument bool) float64 {
-		for i := 0; i < b.N; i++ {
-			cfg := core.DefaultEngineConfig()
-			cfg.StartSeed = int64(i) * fuzzBatch
-			cfg.Seeds = fuzzBatch
-			cfg.Workers = 8
-			cfg.Passes = compiler.DefaultPasses()
-			if instrument {
-				cfg.Obs = obs.NewRegistry()
-			}
-			engine := core.NewEngine(cfg)
-			if findings := engine.Run(context.Background()); len(findings) > 0 {
-				b.Fatalf("reference pipeline produced findings: %+v", findings[0])
-			}
-		}
-		rate := float64(b.N*fuzzBatch) / b.Elapsed().Seconds()
-		b.ReportMetric(rate, "programs/sec")
-		return rate
-	}
-	b.Run("plain", func(b *testing.B) {
-		obsPlainRate = run(b, false)
-	})
-	b.Run("instrumented", func(b *testing.B) {
-		rate := run(b, true)
-		if obsPlainRate > 0 {
-			b.ReportMetric((1-rate/obsPlainRate)*100, "overhead-%")
-		}
-	})
-}
-
-var obsPlainRate float64
-
-// BenchmarkParallelReduce measures speculative reduction on harvested
-// compile-crash witnesses: a window of 1 (exact serial ddmin) against a
-// window of 8 over the same findings, one finding at a time, so
-// within-finding speculation is the only parallelism in play. The
-// benchjson CI gate requires witness-diff == 0 at any core count — the
-// reduced programs must be byte-identical, speculation may only buy or
-// cost time — and scales its speedup floor with GOMAXPROCS: ≈linear on
-// ≥8 cores, while on a single-core runner speculation cannot pay and the
-// gate only bounds the waste overhead (see the procs metric).
-func BenchmarkParallelReduce(b *testing.B) {
-	reg := bugs.Load()
-	var active []*bugs.Bug
-	for _, id := range []string{"P4C-C-04", "P4C-C-13"} {
-		bug := reg.ByID(id)
-		if bug == nil {
-			b.Fatalf("registry has no bug %s", id)
-		}
-		active = append(active, bug)
-	}
-	comp := compiler.New(bugs.Instrument(compiler.DefaultPasses(), active)...)
-	type witness struct {
-		prog *ast.Program
-		pass string
-	}
-	var wits []witness
-	for seed := int64(0); len(wits) < 6 && seed < 96; seed++ {
-		prog := generator.Generate(generator.DefaultConfig(seed))
-		if _, err := comp.Compile(prog); err != nil {
-			var ce *compiler.CrashError
-			if errors.As(err, &ce) {
-				wits = append(wits, witness{prog, ce.Pass})
-			}
-		}
-	}
-	if len(wits) < 4 {
-		b.Fatalf("only %d crash witnesses harvested; the seeded defects should fire more often", len(wits))
-	}
-	keepFor := func(w witness) reduce.PredicateCtx {
-		return func(_ context.Context, cand *ast.Program) bool {
-			_, err := comp.Compile(cand)
-			var ce *compiler.CrashError
-			return errors.As(err, &ce) && ce.Pass == w.pass
-		}
-	}
-	run := func(b *testing.B, par int) (float64, []string) {
-		var outs []string
-		var agg reduce.Stats
-		for i := 0; i < b.N; i++ {
-			outs = outs[:0]
-			for _, w := range wits {
-				red, st := reduce.ReduceStats(context.Background(), w.prog, keepFor(w),
-					reduce.Options{MaxRounds: 3, MaxPredicateCalls: 400, Parallelism: par})
-				outs = append(outs, printer.Print(red))
-				agg.SerialCalls += st.SerialCalls
-				agg.Launched += st.Launched
-				agg.Wasted += st.Wasted
-			}
-		}
-		perWitness := float64(b.N * len(wits))
-		ns := float64(b.Elapsed().Nanoseconds()) / perWitness
-		b.ReportMetric(ns, "ns/witness")
-		b.ReportMetric(float64(agg.SerialCalls)/perWitness, "serial-calls/witness")
-		if agg.Launched > 0 {
-			b.ReportMetric(float64(agg.Wasted)/float64(agg.Launched)*100, "wasted-%")
-		}
-		return ns, append([]string(nil), outs...)
-	}
-	b.Run("serial", func(b *testing.B) {
-		parReduceSerialNs, parReduceSerialOut = run(b, 1)
-	})
-	b.Run("spec8", func(b *testing.B) {
-		ns, outs := run(b, 8)
-		diff := 0
-		switch {
-		case len(parReduceSerialOut) != len(outs):
-			diff = len(outs)
-		default:
-			for i := range outs {
-				if outs[i] != parReduceSerialOut[i] {
-					diff++
-				}
-			}
-		}
-		b.ReportMetric(float64(diff), "witness-diff")
-		if parReduceSerialNs > 0 {
-			b.ReportMetric(parReduceSerialNs/ns, "x-vs-serial")
-		}
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
-	})
-}
-
-var parReduceSerialNs float64
-var parReduceSerialOut []string
-
-// BenchmarkFleetFuzz measures what fleet sharding buys and costs: the
-// same fixed-seed, pure-generation workload run directly on one engine,
-// through a coordinator with one in-process worker (the protocol,
-// lease-merge and dedup machinery with zero parallelism to hide it —
-// pure overhead), and with two workers (each engine capped at 2 stage
-// workers, so the second worker adds real cores). The benchjson CI gate
-// scales with the runner: 2 workers must beat 1 by ≥1.6x on 4+ procs and
-// ≥1.1x on 2, while on a single core only the coordinator-overhead bound
-// (fleet-1 within 10% of direct) applies.
-func BenchmarkFleetFuzz(b *testing.B) {
-	const syncInterval, leaseSlots, engineWorkers = 8, 8, 2
-	runCfg := func() fleet.RunConfig {
-		return fleet.RunConfig{
-			Seed:          11,
-			SyncInterval:  syncInterval,
-			EngineWorkers: engineWorkers,
-			Reduce:        false,
-		}
-	}
-	fleetRun := func(b *testing.B, workers int) float64 {
-		for i := 0; i < b.N; i++ {
-			coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-				Run:        runCfg(),
-				StartSeed:  int64(i) * fuzzBatch,
-				Seeds:      fuzzBatch,
-				LeaseSlots: leaseSlots,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ws := make([]fleet.WorkerConfig, workers)
-			for j := range ws {
-				ws[j] = fleet.WorkerConfig{Name: fmt.Sprintf("w%d", j)}
-			}
-			if err := fleet.RunLocal(context.Background(), coord, ws); err != nil {
-				b.Fatal(err)
-			}
-			if fs := coord.Findings(); len(fs) > 0 {
-				b.Fatalf("reference pipeline produced findings: %+v", fs[0])
-			}
-		}
-		rate := float64(b.N*fuzzBatch) / b.Elapsed().Seconds()
-		b.ReportMetric(rate, "programs/sec")
-		return rate
-	}
-	b.Run("direct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := core.DefaultEngineConfig()
-			cfg.StartSeed = int64(i) * fuzzBatch
-			cfg.Seeds = fuzzBatch
-			cfg.Seed = 11
-			cfg.MutateRatio = 0
-			cfg.SyncInterval = syncInterval
-			cfg.Workers = engineWorkers
-			cfg.Reduce = false
-			cfg.Passes = compiler.DefaultPasses()
-			engine := core.NewEngine(cfg)
-			if findings := engine.Run(context.Background()); len(findings) > 0 {
-				b.Fatalf("reference pipeline produced findings: %+v", findings[0])
-			}
-		}
-		fleetDirectRate = float64(b.N*fuzzBatch) / b.Elapsed().Seconds()
-		b.ReportMetric(fleetDirectRate, "programs/sec")
-	})
-	b.Run("workers-1", func(b *testing.B) {
-		fleet1Rate = fleetRun(b, 1)
-		if fleetDirectRate > 0 {
-			b.ReportMetric((1-fleet1Rate/fleetDirectRate)*100, "overhead-%")
-		}
-	})
-	b.Run("workers-2", func(b *testing.B) {
-		rate := fleetRun(b, 2)
-		if fleet1Rate > 0 {
-			b.ReportMetric(rate/fleet1Rate, "x-vs-1worker")
-		}
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "procs")
-	})
-}
-
-var fleetDirectRate, fleet1Rate float64

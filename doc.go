@@ -239,7 +239,7 @@
 // Because caches only ever change cost, never verdicts, the finding set
 // for a fixed seed budget is identical across worker counts and epoch
 // sizes (tested, race-enabled); per-epoch context bytes plateau instead
-// of growing for the process lifetime (gated in CI).
+// of growing for the process lifetime (TestServeEpochMemoryPlateau).
 //
 // # Robustness
 //
@@ -365,43 +365,35 @@
 // The invariance contract, race-tested in internal/core: installing the
 // registry changes cost only — finding set, witness bytes, report order
 // and corpus are byte-identical with obs on and off at any worker
-// count. Measured cost on the BenchmarkObsOverhead workload is noise
-// (≤~3%, gated at 5% in BENCH_9.json). Negative: nothing in obs makes
-// scheduling decisions — health is keyed off fold progress but only
-// reports it, and provenance timings never feed back into the engine.
+// count. Its cost is measured with bench/ab.sh on the pinned workloads.
+// Negative: nothing in obs makes scheduling decisions — health is keyed
+// off fold progress but only reports it, and provenance timings never
+// feed back into the engine.
 //
 // # Benchmarks
 //
-// BenchmarkValidateIncremental measures the warm steady state;
-// BenchmarkSec52_PipelineThroughput the cold end-to-end rate;
-// BenchmarkGateReuse the structural gate cache on a near-identical miter;
-// BenchmarkEngineFuzz the streaming engine against the sequential fuzz
-// loop it replaced; BenchmarkCorpusFuzz the coverage-guided corpus
-// mode against pure generation on the same budget (throughput, admission
-// rate, distinct coverage fingerprints); BenchmarkServeEpochs the
-// per-epoch context bytes of the rotating serve shape; and
-// BenchmarkResilientFuzz the robustness layer's overhead (plain vs
-// watchdogs + journal/checkpoints armed); BenchmarkConcolicFalsify
-// the bit-parallel tape against solver-only verdicts on defect-seeded
-// inequivalent pairs (ns/equivalence-query on vs off, packets/sec,
-// fraction falsified concretely); and BenchmarkParallelReduce the
-// speculative reducer against exact serial ddmin on harvested crash
-// witnesses (speedup, wasted-probe ratio, and a witness-diff count that
-// must be zero); BenchmarkObsOverhead the introspection plane's
-// cost (plain vs metrics-registry-instrumented on the same workload);
-// and BenchmarkFleetFuzz the fleet coordinator's overhead and scaling
-// (direct engine vs one-worker fleet vs two-worker fleet on the same
-// campaign). scripts/bench_trajectory.sh runs the headline set and
-// writes BENCH_10.json; its benchjson gate fails CI on a
-// zero gate-reuse rate, mutation-mode throughput below half of
-// generation-mode, per-epoch context bytes growing more than 15%
-// epoch-over-epoch, a resilience overhead above 5%, a zero concrete
-// falsification rate, the concolic stage costing more than 5% over
-// solver-only per equivalence query, any speculative-reduction witness
-// diff, speculative reduction below its core-count-scaled speedup
-// floor, an introspection overhead above 5%, a fleet coordinator
-// overhead above 10% at one worker, or a two-worker fleet below its
-// core-count-scaled speedup floor over one worker:
+// Speed has one measure: bench/ab.sh, alternating runs of the parent and
+// the change on the pinned campaign workloads in bench/, each run
+// checked against its pinned findings digest (bench/README.md, "Reading
+// an A/B"). Each workload runs different layers hard, so the cost of
+// one layer (the robustness layer, the metrics registry, the fleet
+// coordinator, speculative reduction, the concolic tape, corpus
+// mutation) is read on the workload that runs it, not from two arms of
+// one in-process benchmark. What such a layer must not change — the
+// finding set, witness bytes, the corpus, the memory plateau — is
+// checked by deterministic tests.
 //
-//	go test -bench='ValidateIncremental|Sec52|EngineFuzz|GateReuse|CorpusFuzz|ServeEpochs|ResilientFuzz|ConcolicFalsify|ParallelReduce|ObsOverhead|FleetFuzz' .
+// The benchmarks in bench_test.go are of two kinds. The paper-table
+// benchmarks regenerate Tables 1–3, §7.1, §7.2, Figures 3–5, §8 and the
+// §6.2 ablation; Figure 5 detection, §8 and the ablation fail on a wrong
+// result. The single-layer micro-benchmarks time one layer in
+// isolation: BenchmarkValidateIncremental the warm validation steady
+// state, BenchmarkSec52_PipelineThroughput the cold generate → compile →
+// validate rate, BenchmarkGeneration program generation,
+// BenchmarkCompile the reference pass pipeline and
+// BenchmarkEquivalenceQuery one solver equivalence query
+// (BenchmarkSolveAssumingDescent in internal/smt/solver times
+// incremental SAT calls). CI runs every root benchmark once:
+//
+//	go test -run=NONE -bench=. -benchtime=1x .
 package gauntlet

@@ -197,9 +197,6 @@ type EngineConfig struct {
 	// mutation also requires a non-empty corpus, so early rounds always
 	// generate).
 	MutateRatio float64
-	// MaxMutations bounds how many mutators stack on one program
-	// (0 = default 3).
-	MaxMutations int
 	// SyncInterval is the corpus admission round size: coverage results
 	// are folded into the corpus in canonical slot order every
 	// SyncInterval programs, and mutation schedules for a round draw only
@@ -207,12 +204,10 @@ type EngineConfig struct {
 	// the feedback loop deterministic across worker counts; it must not
 	// depend on Workers (0 = default 32).
 	SyncInterval int
-	// Corpus is the seed pool (nil = a fresh one sized MaxCorpus). Pass a
-	// pre-loaded corpus to resume from a saved -corpus directory.
+	// Corpus is the seed pool (nil = a fresh one holding at most
+	// corpus.DefaultMaxSeeds seeds). Pass a pre-loaded corpus to resume
+	// from a saved -corpus directory.
 	Corpus *corpus.Corpus
-	// MaxCorpus caps a fresh corpus (0 = corpus.DefaultMaxSeeds); ignored
-	// when Corpus is set.
-	MaxCorpus int
 	// Workers sizes each heavy stage's worker pool (0 = GOMAXPROCS).
 	Workers int
 	// Backend selects the generator skeleton and the reference pass
@@ -351,6 +346,9 @@ type EngineConfig struct {
 // lease lengths must be multiples of the effective round size for
 // lease-local fold boundaries to coincide with global ones.
 const DefaultSyncInterval = 32
+
+// maxMutations bounds how many mutators stack on one mutated program.
+const maxMutations = 3
 
 // DefaultEngineConfig mirrors the sequential fuzz loop's settings on the
 // streaming engine: v1model programs, validation oracle, auto-reduction.
@@ -666,9 +664,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		// this is a configuration bug, not a tunable.
 		panic("core.NewEngine: EngineConfig.Cache and EpochPrograms > 0 are incompatible (a rotating engine owns its cache lifecycle)")
 	}
-	if cfg.MaxMutations <= 0 {
-		cfg.MaxMutations = 3
-	}
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = DefaultSyncInterval
 	}
@@ -679,7 +674,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		cfg.MutateRatio = 1
 	}
 	if cfg.Corpus == nil {
-		cfg.Corpus = corpus.New(cfg.MaxCorpus)
+		cfg.Corpus = corpus.New(0)
 	}
 	if cfg.Passes == nil {
 		cfg.Passes, _ = Pipeline(PlatformOf(cfg.Backend)) // without defects it cannot fail
@@ -1134,7 +1129,7 @@ func (e *Engine) materialize(t task) (*ast.Program, *coverage.Profile, []string,
 			donor = t.donor.Program
 		}
 		for try := 0; try < 4; try++ {
-			m, names, ok := mutate.Program(r, t.base.Program, donor, e.cfg.MaxMutations)
+			m, names, ok := mutate.Program(r, t.base.Program, donor, maxMutations)
 			if !ok {
 				break
 			}

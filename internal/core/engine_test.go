@@ -327,7 +327,6 @@ func TestEngineCorpusPersistence(t *testing.T) {
 
 	cfg := mutatingEngineConfig(t, 8, 4, 5)
 	cfg.Corpus = nil
-	cfg.MaxCorpus = 64
 	pre := core.NewEngine(cfg)
 	n, err := pre.Corpus().Load(dir)
 	if err != nil {

@@ -44,8 +44,8 @@ type CoordinatorConfig struct {
 	// ResumeWatermark skips leases wholly below this slot (the resumed
 	// checkpoint's NextSlot).
 	ResumeWatermark int64
-	// Corpus is the master corpus deltas fold into (nil = fresh, sized
-	// Run.MaxCorpus).
+	// Corpus is the master corpus deltas fold into (nil = a fresh one
+	// holding at most corpus.DefaultMaxSeeds seeds).
 	Corpus *corpus.Corpus
 	// Obs, when set, receives the fleet gauges and per-worker lease
 	// latency histograms.
@@ -132,7 +132,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		done:   make(chan struct{}),
 	}
 	if c.corpus == nil {
-		c.corpus = corpus.New(cfg.Run.MaxCorpus)
+		c.corpus = corpus.New(0)
 	}
 	for _, fp := range cfg.KnownFindings {
 		c.dedup[fp] = struct{}{}

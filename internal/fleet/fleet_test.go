@@ -22,7 +22,6 @@ func testRun() RunConfig {
 		Seed:                    11,
 		Backend:                 "v1model",
 		SyncInterval:            8,
-		MaxCorpus:               64,
 		EngineWorkers:           2,
 		Reduce:                  true,
 		ReduceMaxRounds:         3,

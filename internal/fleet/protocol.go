@@ -27,7 +27,7 @@
 //     fingerprints, so the surviving representative of every fingerprint
 //     is the global first occurrence — the same program, and therefore
 //     the same reduced witness bytes, the single process keeps. (This
-//     holds in the under-MaxReducePerPass-cap regime: the cap is per
+//     holds below the engine's MaxReducePerPass cap: the cap is per
 //     lease, so a fleet run reduces candidates a capped single process
 //     would have dropped.)
 //
@@ -108,24 +108,18 @@ type RunConfig struct {
 	// SyncInterval is the engine's corpus admission round size; lease
 	// lengths are multiples of it (0 = engine default).
 	SyncInterval int `json:"sync_interval,omitempty"`
-	// MaxCorpus caps each per-lease corpus and the master corpus.
-	MaxCorpus int `json:"max_corpus,omitempty"`
 	// EngineWorkers sizes each worker engine's per-stage pools
 	// (0 = GOMAXPROCS).
 	EngineWorkers int `json:"engine_workers,omitempty"`
-	// PacketTests / BlackBox / ConcolicOff / MaxConflicts mirror the
-	// EngineConfig fields of the same names.
-	PacketTests  bool `json:"packet_tests,omitempty"`
-	BlackBox     bool `json:"black_box,omitempty"`
-	ConcolicOff  bool `json:"concolic_off,omitempty"`
-	MaxConflicts int  `json:"max_conflicts,omitempty"`
+	// PacketTests / ConcolicOff mirror the EngineConfig fields of the
+	// same names.
+	PacketTests bool `json:"packet_tests,omitempty"`
+	ConcolicOff bool `json:"concolic_off,omitempty"`
 	// Reduce enables witness reduction; ReduceMaxRounds /
-	// ReduceMaxPredicateCalls bound it (0 = engine defaults);
-	// MaxReducePerPass caps semantic candidates per (kind, pass).
+	// ReduceMaxPredicateCalls bound it (0 = engine defaults).
 	Reduce                  bool `json:"reduce"`
 	ReduceMaxRounds         int  `json:"reduce_max_rounds,omitempty"`
 	ReduceMaxPredicateCalls int  `json:"reduce_max_predicate_calls,omitempty"`
-	MaxReducePerPass        int  `json:"max_reduce_per_pass,omitempty"`
 	// StageTimeoutMs / OracleTimeoutMs are the watchdog budgets in
 	// milliseconds (0 = off).
 	StageTimeoutMs  int64 `json:"stage_timeout_ms,omitempty"`
@@ -183,7 +177,10 @@ func writeMsg(w io.Writer, env *Envelope) error {
 	return err
 }
 
-// readMsg reads one length-prefixed frame and decodes it.
+// readMsg reads one length-prefixed frame and decodes it. The body is
+// read as it arrives, not into a buffer of the declared length, so a
+// peer that declares a large frame and then stalls or hangs up holds
+// only the bytes it actually sent.
 func readMsg(r io.Reader) (*Envelope, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -193,9 +190,12 @@ func readMsg(r io.Reader) (*Envelope, error) {
 	if n == 0 || n > maxMsgBytes {
 		return nil, fmt.Errorf("fleet: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(body) < int(n) {
+		return nil, fmt.Errorf("fleet: frame body: %d of %d bytes: %w", len(body), n, io.ErrUnexpectedEOF)
 	}
 	var env Envelope
 	if err := json.Unmarshal(body, &env); err != nil {

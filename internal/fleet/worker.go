@@ -46,11 +46,7 @@ func (run RunConfig) EngineConfig() (core.EngineConfig, error) {
 	cfg.SyncInterval = run.SyncInterval
 	cfg.Workers = run.EngineWorkers
 	cfg.PacketTests = run.PacketTests
-	cfg.BlackBox = run.BlackBox
 	cfg.ConcolicOff = run.ConcolicOff
-	if run.MaxConflicts > 0 {
-		cfg.MaxConflicts = run.MaxConflicts
-	}
 	cfg.Reduce = run.Reduce
 	if run.ReduceMaxRounds > 0 {
 		cfg.ReduceOpts.MaxRounds = run.ReduceMaxRounds
@@ -58,7 +54,6 @@ func (run RunConfig) EngineConfig() (core.EngineConfig, error) {
 	if run.ReduceMaxPredicateCalls > 0 {
 		cfg.ReduceOpts.MaxPredicateCalls = run.ReduceMaxPredicateCalls
 	}
-	cfg.MaxReducePerPass = run.MaxReducePerPass
 	cfg.StageTimeout = time.Duration(run.StageTimeoutMs) * time.Millisecond
 	cfg.OracleTimeout = time.Duration(run.OracleTimeoutMs) * time.Millisecond
 	var err error
@@ -93,7 +88,7 @@ func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (c
 	cfg.StartSeed = lease.Start
 	cfg.Seeds = lease.Count
 	cfg.Cache = cache
-	c := corpus.New(run.MaxCorpus)
+	c := corpus.New(0)
 	c.EnableDeltaLog()
 	cfg.Corpus = c
 	return cfg, c, nil
