@@ -33,8 +33,8 @@ func TestJSONLWriterDropAccounting(t *testing.T) {
 	})
 	jw.write(map[string]int{"a": 1}, "stats")
 	jw.write(map[string]int{"b": 2}, "finding")
-	jw.write(map[string]int{"c": 3}, "stats")   // write error
-	jw.write(func() {}, "finding")              // marshal error
+	jw.write(map[string]int{"c": 3}, "stats") // write error
+	jw.write(func() {}, "finding")            // marshal error
 	if got := sink.buf.String(); strings.Count(got, "\n") != 2 {
 		t.Errorf("sink holds %q, want exactly 2 lines", got)
 	}

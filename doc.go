@@ -46,15 +46,18 @@
 //     success commits, so the reduced witness is byte-identical to
 //     serial ddmin at any window width — speculation buys wall-clock,
 //     never a different answer. Candidate findings themselves are
-//     released to dedup in canonical (round, slot) order at the
-//     collector's fold boundaries, so which concrete program represents
-//     a fingerprint — and hence the witness bytes — is independent of
+//     released to dedup in one canonical sequence: round by round, the
+//     round's crash-family candidates, then its oracle candidates, each
+//     in slot order. Each goes out as soon as every record before it in
+//     that sequence has arrived, so which concrete program represents a
+//     fingerprint — and hence the witness bytes — is independent of
 //     worker interleaving too.
 //   - Every merge point where out-of-order completions must be consumed
 //     in canonical order goes through one in-order release buffer,
-//     internal/inorder: the collector's per-slot compile and oracle
-//     records, the report stage's re-sequencing of reduced findings, and
-//     the fleet coordinator's lease results.
+//     internal/inorder: the collector's per-slot compile records and
+//     energy bumps, its candidate release sequence, the report stage's
+//     re-sequencing of reduced findings, and the fleet coordinator's
+//     lease results.
 //
 // The concurrency discipline is "isolate first, then share": each worker
 // owns its compiler instance and solver sessions outright, and the only
@@ -122,7 +125,11 @@
 // Determinism survives the feedback loop by construction: coverage
 // results fold into the corpus in canonical slot order at fixed round
 // boundaries (EngineConfig.SyncInterval), and a round's mutation
-// decisions draw only on the corpus as of the previous fold. The
+// decisions draw only on the corpus as of the previous fold. Fold r
+// waits for round r's compile records and for the verdicts of round
+// r-1's mutants, the only verdicts whose findings bump energy; a slow
+// verdict on a fresh program holds back only the release of later
+// candidates, never the schedule. The
 // schedule is therefore a pure function of the configuration — the
 // unique-finding set and the final corpus coverage-fingerprint set are
 // identical for any worker count, and a fixed -seed replays an entire
@@ -289,9 +296,11 @@
 // the journal's fingerprints, and reprocesses the slots between the
 // watermark and the death — at-least-once, with zero re-reported
 // findings. The watermark counts folded slots, not reported ones: a
-// checkpoint at fold r precedes the reduction and reporting of round
-// r's crash findings and the release of its oracle findings, so a kill
-// right after it loses those findings rather than replaying them.
+// checkpoint at fold r may precede the reporting of round r's crash
+// findings and its oracle findings, and even the verdicts of fresh
+// slots in earlier rounds, since a fold waits only for mutants'
+// verdicts. A kill right after it loses those findings rather than
+// replaying them.
 // SIGHUP forces a checkpoint + stats flush without draining
 // (and logs a one-line human summary to stderr);
 // scripts/crash_resume_smoke.sh drives the whole loop (inject, SIGKILL,

@@ -135,12 +135,12 @@ type Finding struct {
 	// output re-derived from the candidate's own formula under the cached
 	// model) before falling back to full test generation.
 	replay *testgen.Case
-	// order is the candidate's position in the canonical release
-	// sequence (crash-family findings in (round, slot) order at their
-	// round's fold; oracle findings one round late). The report stage
-	// re-sequences reduced findings by it, so final dedup — and with it
-	// which witness bytes survive — is independent of how long each
-	// reduction took.
+	// order is the candidate's position among the candidates dedup let
+	// through, in the canonical release sequence (round by round,
+	// crash-family candidates, then oracle candidates, each in slot
+	// order). The report stage re-sequences reduced findings by it, so
+	// final dedup — and with it which witness bytes survive — is
+	// independent of how long each reduction took.
 	order int64
 }
 
@@ -202,7 +202,9 @@ type EngineConfig struct {
 	// SyncInterval programs, and mutation schedules for a round draw only
 	// on the corpus as of the previous fold. That barrier is what keeps
 	// the feedback loop deterministic across worker counts; it must not
-	// depend on Workers (0 = default 32).
+	// depend on Workers (0 = default 32). A fold waits for its round's
+	// compile records and for the oracle verdicts of the previous
+	// round's mutants, the only verdicts that feed the corpus.
 	SyncInterval int
 	// Corpus is the seed pool (nil = a fresh one holding at most
 	// corpus.DefaultMaxSeeds seeds). Pass a pre-loaded corpus to resume
@@ -255,9 +257,9 @@ type EngineConfig struct {
 	// defect firing on most seeds would otherwise turn the pipeline into
 	// a reducer farm; candidates beyond the cap are dropped as
 	// duplicates. The dedup stage receives candidates only from the
-	// collector, in canonical (round, slot) order, so which candidates the
-	// cap keeps is a function of the schedule: the unique-finding set and
-	// witness bytes stay worker-count-independent above the cap as well.
+	// collector, in canonical order, so which candidates the cap keeps is
+	// a function of the schedule: the unique-finding set and witness
+	// bytes stay worker-count-independent above the cap as well.
 	MaxReducePerPass int
 	// Cache is the shared validation cache (nil = new private cache).
 	// Incompatible with EpochPrograms > 0: a rotating engine owns its
@@ -322,12 +324,14 @@ type EngineConfig struct {
 	// fold barrier waits).
 	//
 	// Folded is not reported. At fold r, round r's crash-family
-	// candidates have only just been released to dedup — not yet reduced
-	// or passed to OnFinding — and its oracle candidates are released
-	// only at fold r+1. A process killed right after a checkpoint loses
-	// those findings for good, because a resume starts at the watermark;
-	// the shutdown checkpoint of a graceful drain likewise drops oracle
-	// verdicts still in flight for folded rounds.
+	// candidates are at best released to dedup, not yet reduced or
+	// passed to OnFinding, and its oracle verdicts are still in flight.
+	// Fold r waits only for the verdicts of round r-1's mutants, so the
+	// verdict of a fresh slot in round r-1 or any earlier round may be in
+	// flight too. A process killed right after a checkpoint loses those
+	// findings for good, because a resume starts at the watermark; the
+	// shutdown checkpoint of a graceful drain likewise drops verdicts
+	// still in flight for folded rounds.
 	OnCheckpoint func(nextSlot int64)
 	// CheckpointPrograms is the periodic checkpoint cadence in folded
 	// programs (0 = only on RequestCheckpoint).
@@ -1057,26 +1061,27 @@ type covRec struct {
 	baseID  int
 	crashed bool
 	// toOracle marks a unit forwarded to the oracle stage; for any other
-	// slot the collector fills in the empty oracle record itself.
+	// slot the collector fills in the empty oracle candidate itself.
 	toOracle bool
 	// finding carries the slot's crash/invalid-transform candidate, if
 	// any. Candidates ride the coverage record instead of a free-running
-	// channel so the collector can release them in canonical (round,
-	// slot) order — which concrete program represents a deduplicated
-	// fingerprint, and hence the reduced witness bytes, must not depend
-	// on worker interleaving.
+	// channel so the collector can release them in canonical order —
+	// which concrete program represents a deduplicated fingerprint, and
+	// hence the reduced witness bytes, must not depend on worker
+	// interleaving.
 	finding *Finding
 }
 
 // orRec is an oracle-stage verdict report flowing to the admission
 // collector: exactly one per unit the compile stage forwarded to the
 // oracle (cancellation aside), including quarantined and errored units,
-// which report a nil finding so the collector's oracle buffer passes
-// their slots.
-// Oracle findings (miscompilations, mismatches) surface after their own
-// round has already folded, so both their energy and their candidate
-// programs fold one round late — at the next boundary, in canonical
-// slot order — preserving -seed replay and worker-count determinism.
+// which report a nil finding so the collector's streams pass their
+// slots. Oracle findings (miscompilations, mismatches) surface after
+// their own round has folded: the candidate is released behind its
+// round's crash-family candidates, and a finding on a mutant (baseID >=
+// 0) bumps its base's energy at the next fold, which waits for every
+// mutant verdict of the round before it. Both go in canonical slot
+// order, preserving -seed replay and worker-count determinism.
 type orRec struct {
 	slot    int64
 	baseID  int
@@ -1088,9 +1093,10 @@ type orRec struct {
 // evidence its base is productive; a mutant producing a finding —
 // compile-stage or oracle-stage — is strong evidence. Compile-stage
 // findings fold with their own round's admissions; oracle-stage findings
-// (miscompilations, mismatches) surface after that fold has passed, so
-// they fold one round late, at the next boundary, behind their own
-// completeness barrier (see orRec).
+// on mutants (miscompilations, mismatches) surface after that fold has
+// passed, so they fold at the next boundary, which waits for every
+// mutant verdict of the round before it (see orRec). A fresh program
+// has no base, so its verdict bumps nothing and no fold waits for it.
 const (
 	admissionBump = 0.5
 	findingBump   = 1.0
@@ -1184,7 +1190,7 @@ func (e *Engine) Run(ctx context.Context) []Finding {
 //	schedule → generate → compile → inspect → collect → dedup → reduce → report
 //
 // The collector sits between the heavy stages and dedup: every
-// candidate reaches dedup through it, in canonical (round, slot) order.
+// candidate reaches dedup through it, in canonical order.
 type run struct {
 	e   *Engine
 	ctx context.Context
@@ -1240,6 +1246,19 @@ func (e *Engine) newRun(ctx context.Context) *run {
 // roundEnd is the first slot past round k (the run's start for k = -1).
 func (r *run) roundEnd(k int64) int64 {
 	return min(r.e.cfg.StartSeed+(k+1)*r.roundSize, r.limit)
+}
+
+// releasePos is the position of slot's crash-family candidate, or of its
+// oracle candidate, in the canonical release sequence: round by round,
+// the round's crash-family candidates, then its oracle candidates, each
+// in slot order. Every slot holds one position of each kind.
+func (r *run) releasePos(slot int64, oracle bool) int64 {
+	k := (slot - r.e.cfg.StartSeed) / r.roundSize
+	pos := slot - r.e.cfg.StartSeed + k*r.roundSize
+	if oracle {
+		pos += r.roundEnd(k) - r.roundEnd(k-1)
+	}
+	return pos
 }
 
 // pool runs stage on Workers goroutines and calls done once all of them
@@ -1362,8 +1381,8 @@ func (r *run) generate(w int) {
 // compile runs the pass pipeline. Every slot reports one covRec to the
 // collector — its coverage profile (AST features plus the pass trace, or
 // a crash/invalid edge) and any crash-family candidate, which the
-// collector releases to dedup at the round's fold in slot order. Clean
-// compilations flow on to the oracle stage.
+// collector releases to dedup in canonical order. Clean compilations
+// flow on to the oracle stage.
 func (r *run) compile(w int) {
 	e := r.e
 	for u := range r.genCh {
@@ -1460,8 +1479,8 @@ func (r *run) candidate(u unit, kind FindingKind, pass, detail string) *Finding 
 
 // inspect is the oracle stage: translation validation and packet tests.
 // Every unit reports exactly one orRec — finding or not, quarantined or
-// not — and the collector releases its candidate one round late, in slot
-// order.
+// not — and the collector releases its candidate behind its round's
+// crash-family candidates, in slot order.
 func (r *run) inspect(w int) {
 	e := r.e
 	for u := range r.compCh {
@@ -1548,11 +1567,15 @@ func (r *run) inspect(w int) {
 // collector is the collect stage's state, owned by its one goroutine.
 type collector struct {
 	*run
-	// cov and ors hold the compile and oracle records by slot. Every
-	// slot gets exactly one entry in each: the collector fills in an
-	// empty oracle record for a slot the compile stage did not forward.
-	cov *inorder.Buffer[covRec]
-	ors *inorder.Buffer[orRec]
+	// cov holds the compile records by slot. bumps holds, by slot, the
+	// corpus seed the slot's oracle finding bumps, -1 for none: a mutant
+	// the compile stage forwarded gets its entry from its verdict, every
+	// other slot a -1 from its compile record.
+	cov   *inorder.Buffer[covRec]
+	bumps *inorder.Buffer[int]
+	// cands holds each slot's crash-family and oracle candidate (nil for
+	// none) by position in the canonical release sequence (releasePos).
+	cands *inorder.Buffer[*Finding]
 	// live is false once a release found the run cancelled.
 	live bool
 	// lastCheckpoint is programsFolded at the last OnCheckpoint call.
@@ -1560,27 +1583,38 @@ type collector struct {
 }
 
 // collect folds coverage into the corpus and is the sole producer of
-// finding candidates. Round r folds once the compile buffer has passed
-// r's end and the oracle buffer has passed r-1's end: round r-1's
-// oracle verdicts — which surface after their own round has folded —
-// bump energy and release their candidates, then round r's records are
-// admitted and release their crash-family candidates, all in slot
-// order. Admission is order-sensitive (a program is admitted only if it
-// still adds coverage), and which concrete program represents a
-// deduplicated fingerprint decides the reduced witness bytes, so both
-// must be a pure function of the schedule, never of worker
-// interleaving.
+// finding candidates. It runs two in-order streams over the slots.
+//
+// The corpus fold: round r folds once the compile buffer has passed r's
+// end and the bump buffer r-1's end. Round r-1's oracle findings on
+// mutants, which surface after their own round has folded, bump their
+// bases' energy; then round r's records are admitted; both in slot
+// order. Only a mutant's verdict can bump, so a fresh slot, or one the
+// compile stage did not forward, is a no-bump entry from the moment its
+// compile record arrives: a slow verdict on a fresh program never holds
+// a fold, nor with it the next round's schedule.
+//
+// The candidate release: round by round, the round's crash-family
+// candidates, then its oracle candidates, each in slot order. A
+// candidate goes to dedup as soon as every record before it in that
+// sequence has arrived, whether or not its round has folded.
+//
+// Admission is order-sensitive (a program is admitted only if it still
+// adds coverage), and which concrete program represents a deduplicated
+// fingerprint decides the reduced witness bytes, so both streams must
+// be a pure function of the schedule, never of worker interleaving.
 func (r *run) collect() {
 	defer close(r.collectorDone)
 	defer close(r.candCh)
 	c := &collector{
-		run:  r,
-		cov:  inorder.New[covRec](r.e.cfg.StartSeed),
-		ors:  inorder.New[orRec](r.e.cfg.StartSeed),
-		live: true,
+		run:   r,
+		cov:   inorder.New[covRec](r.e.cfg.StartSeed),
+		bumps: inorder.New[int](r.e.cfg.StartSeed),
+		cands: inorder.New[*Finding](0),
+		live:  true,
 	}
-	var recs []covRec  // round k's compile records popped so far
-	var oracle []orRec // round k-1's oracle records popped so far
+	var recs []covRec // round k's compile records popped so far
+	var bumps []int   // round k-1's bump entries popped so far
 	k := int64(0)
 	covIn, orIn := r.covCh, r.orCh
 	for covIn != nil || orIn != nil {
@@ -1591,38 +1625,48 @@ func (r *run) collect() {
 				continue
 			}
 			c.cov.Put(rec.slot, rec)
+			c.cands.Put(r.releasePos(rec.slot, false), rec.finding)
 			if !rec.toOracle {
-				c.ors.Put(rec.slot, orRec{slot: rec.slot, baseID: -1})
+				c.cands.Put(r.releasePos(rec.slot, true), nil)
+			}
+			if !rec.toOracle || rec.baseID < 0 {
+				c.bumps.Put(rec.slot, -1)
 			}
 		case rec, ok := <-orIn:
 			if !ok {
 				orIn = nil
 				continue
 			}
-			c.ors.Put(rec.slot, rec)
+			c.cands.Put(r.releasePos(rec.slot, true), rec.finding)
+			if rec.baseID >= 0 {
+				bump := -1
+				if rec.finding != nil {
+					bump = rec.baseID
+				}
+				c.bumps.Put(rec.slot, bump)
+			}
 		}
 		for r.roundEnd(k-1) < r.limit {
-			var covDone, orDone bool
+			var covDone, bumpsDone bool
 			recs, covDone = popUntil(c.cov, r.roundEnd(k), recs)
-			oracle, orDone = popUntil(c.ors, r.roundEnd(k-1), oracle)
-			if !covDone || !orDone {
+			bumps, bumpsDone = popUntil(c.bumps, r.roundEnd(k-1), bumps)
+			if !covDone || !bumpsDone {
 				break
 			}
-			c.fold(oracle, recs)
-			recs, oracle = recs[:0], oracle[:0]
+			c.fold(bumps, recs)
+			recs, bumps = recs[:0], bumps[:0]
 			k++
 		}
+		for f, ok := c.cands.Pop(); ok; f, ok = c.cands.Pop() {
+			c.release(f)
+		}
 	}
-	// Tail release: the last folded round's oracle verdicts arrive after
-	// its fold and no later fold exists, so their energy is dropped (a
-	// pure function of the schedule), but their candidates must still
-	// surface. Unfolded rounds sit above the checkpoint watermark and are
-	// reprocessed on resume, so their partial candidates are dropped,
-	// which keeps bounded runs deterministic.
-	oracle, _ = popUntil(c.ors, r.roundEnd(k-1), oracle)
-	for _, o := range oracle {
-		c.release(o.finding)
-	}
+	// Every candidate whose predecessors all arrived has been released,
+	// the last folded round's oracle candidates included; their energy
+	// is dropped, since no later fold exists (a pure function of the
+	// schedule). A record a cancelled stage never sent leaves a gap, and
+	// the candidates behind it are dropped.
+	//
 	// Shutdown checkpoint: covCh is closed, so every fold that will
 	// happen has happened and the watermark is final. Folded rounds whose
 	// findings were still in flight stay lost (see OnCheckpoint).
@@ -1656,18 +1700,16 @@ func (c *collector) release(f *Finding) {
 	}
 }
 
-// fold applies one round: the previous round's oracle records, then this
-// round's compile records, both in slot order.
-func (c *collector) fold(oracle []orRec, recs []covRec) {
+// fold applies one round: the previous round's oracle-finding bumps,
+// then this round's compile records, both in slot order.
+func (c *collector) fold(bumps []int, recs []covRec) {
 	e := c.e
-	for _, o := range oracle {
-		if o.finding != nil && o.baseID >= 0 {
-			e.corpus.BumpEnergy(o.baseID, findingBump)
+	for _, id := range bumps {
+		if id >= 0 {
+			e.corpus.BumpEnergy(id, findingBump)
 		}
-		c.release(o.finding)
 	}
 	for _, rc := range recs {
-		c.release(rc.finding)
 		if rc.prof == nil {
 			// Quarantined or errored before profiling: the record exists
 			// only to count the fold.

@@ -106,13 +106,14 @@ func TestEngineReduceSpeculationStats(t *testing.T) {
 	}
 }
 
-// TestEngineOracleEnergyDeterminism: oracle-stage findings now feed
-// corpus energy one round late, behind their own completeness barrier —
-// the whole run (finding set, corpus, bump count) must stay a pure
-// function of the master seed at any worker count, and runs whose seed
-// budget is not a multiple of SyncInterval must still drain (the tail
-// round's oracle verdicts are deliberately dropped, never waited on
-// past the final fold).
+// TestEngineOracleEnergyDeterminism: oracle-stage findings on mutants
+// feed corpus energy at the next fold, which waits for every mutant
+// verdict of the round before it and for no fresh one. The whole run
+// (finding set, corpus, bump count) must stay a pure function of the
+// master seed at any worker count, and runs whose seed budget is not a
+// multiple of SyncInterval must still drain (the tail round's verdicts
+// bump nothing, since no fold follows, and are never waited on past
+// the final fold; their candidates are still released).
 func TestEngineOracleEnergyDeterminism(t *testing.T) {
 	run := func(workers int) ([]string, []uint64, uint64, uint64) {
 		cfg := buggyEngineConfig(t, 30, workers, "P4C-S-02") // semantic: findings surface at the oracle stage

@@ -171,10 +171,10 @@ func TestWritePrometheus(t *testing.T) {
 	r.Counter("zz_last_total", "sorts last", nil).Add(7)
 	r.Gauge("aa_first", "sorts first", Labels{"q": `a"b\c`}).Set(1)
 	h := r.Histogram("mid_seconds", "a histogram", Labels{"stage": "x"})
-	h.Observe(1 * time.Nanosecond)  // bucket 1, le=(2^1-1)/1e9
-	h.Observe(3 * time.Nanosecond)  // bucket 2
-	h.Observe(3 * time.Nanosecond)  // bucket 2
-	h.Observe(40 * time.Minute)     // +Inf
+	h.Observe(1 * time.Nanosecond) // bucket 1, le=(2^1-1)/1e9
+	h.Observe(3 * time.Nanosecond) // bucket 2
+	h.Observe(3 * time.Nanosecond) // bucket 2
+	h.Observe(40 * time.Minute)    // +Inf
 	r.Collect(func(e *Emit) {
 		e.Counter("collected_total", "from a collector", Labels{"a": "1"}, 42)
 	})
