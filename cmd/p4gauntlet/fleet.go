@@ -105,9 +105,9 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 		defer st.Close()
 		cfg.State = st.State
 		if cp := st.cp; cp != nil {
-			cfg.Run.Seed, cfg.ResumeWatermark = cp.Seed, cp.NextSlot
+			cfg.Run.Seed, cfg.Resume = cp.Seed, cp
 		}
-		cfg.Corpus, cfg.KnownFindings = st.corpus, st.known
+		cfg.KnownFindings = st.known
 	}
 
 	// Findings stream as in fuzz mode, with the coordinator as the single

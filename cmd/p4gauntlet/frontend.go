@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/fleet"
 	"gauntlet/internal/obs"
 	"gauntlet/internal/persist"
@@ -65,15 +64,13 @@ type campaignState struct {
 	*persist.State
 	// cp is the last checkpoint (nil when the dead run never took one).
 	cp *persist.Checkpoint
-	// corpus is the checkpoint's corpus, when it has one.
-	corpus *corpus.Corpus
 	// known holds the journaled findings' fingerprints, which pre-seed
 	// dedup so reprocessed slots are never re-reported.
 	known []uint64
 }
 
 // openState opens the -state or -resume directory; nil without either.
-// With -resume it also restores the checkpoint, refusing an explicit
+// With -resume it also loads the checkpoint, refusing an explicit
 // -seed or -mutate-ratio that contradicts it (the corpus and watermark
 // are functions of the schedule), and replays the journal.
 func openState(ff fuzzFlags) *campaignState {
@@ -105,11 +102,6 @@ func openState(ff fuzzFlags) *campaignState {
 		}
 		if ff.explicit["mutate-ratio"] && ff.mutateRatio != cp.MutateRatio {
 			die(2, "resume: -mutate-ratio %g contradicts checkpoint %g", ff.mutateRatio, cp.MutateRatio)
-		}
-		if cp.Corpus != nil {
-			if cs.corpus, err = corpus.FromSnapshot(cp.Corpus); err != nil {
-				die(1, "resume: corpus: %v", err)
-			}
 		}
 		next = cp.NextSlot
 	}

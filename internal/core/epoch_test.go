@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,40 +15,6 @@ import (
 	"gauntlet/internal/smt"
 	"gauntlet/internal/validate"
 )
-
-// TestEngineEpochDeterminism is the tentpole invariant: the unique
-// finding set over a fixed seed budget is identical whether the run is
-// one epoch or many, at any worker count. Epoch rotation replaces the
-// interner/simplify/verdict caches wholesale, and caches must only ever
-// change cost, never verdicts — a fresh cache recomputes the same
-// deterministic answers. Run under -race in CI.
-func TestEngineEpochDeterminism(t *testing.T) {
-	ids := []string{"P4C-C-04", "P4C-C-13", "P4C-S-02"}
-	run := func(workers, epochPrograms int) []string {
-		cfg := buggyEngineConfig(t, 24, workers, ids...)
-		cfg.Seed = 11
-		cfg.MutateRatio = 0.5
-		cfg.SyncInterval = 8
-		cfg.EpochPrograms = epochPrograms
-		return fingerprintSet(core.NewEngine(cfg).Run(context.Background()))
-	}
-	ref := run(1, 0) // single epoch, sequential
-	if len(ref) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 24 seeds")
-	}
-	for _, workers := range []int{1, 8} {
-		for _, epochs := range []int{0, 8, 24} {
-			if workers == 1 && epochs == 0 {
-				continue
-			}
-			got := run(workers, epochs)
-			if strings.Join(got, "\n") != strings.Join(ref, "\n") {
-				t.Errorf("finding set differs at workers=%d epoch-programs=%d:\nref:\n  %s\ngot:\n  %s",
-					workers, epochs, strings.Join(ref, "\n  "), strings.Join(got, "\n  "))
-			}
-		}
-	}
-}
 
 // TestEngineEpochRotationBoundsMemory runs three epochs and checks the
 // serve-mode memory story: every epoch retires with its own bounded
@@ -166,7 +133,7 @@ func TestServeEpochMemoryPlateau(t *testing.T) {
 // retired epoch. Run under -race in CI.
 func TestEngineEpochDrainNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
-	cfg := buggyEngineConfig(t, 0 /* unbounded */, 4, "P4C-C-04", "P4C-S-02")
+	cfg := buggyEngineConfig(t, 0 /* unbounded */, 4, "P4C-C-17", "P4C-S-02")
 	cfg.Seed = 3
 	cfg.MutateRatio = 0.5
 	cfg.SyncInterval = 8
@@ -222,13 +189,8 @@ func TestEngineEnergyBumpDeterminism(t *testing.T) {
 	if strings.Join(f1, "\n") != strings.Join(f8, "\n") {
 		t.Errorf("finding set differs across worker counts with dynamic energy enabled")
 	}
-	if len(c1) != len(c8) {
-		t.Fatalf("corpus size differs: %d vs %d seeds", len(c1), len(c8))
-	}
-	for i := range c1 {
-		if c1[i] != c8[i] {
-			t.Fatalf("corpus fingerprint %d differs: %016x vs %016x", i, c1[i], c8[i])
-		}
+	if !slices.Equal(c1, c8) {
+		t.Fatalf("corpus fingerprints differ across worker counts: %x vs %x", c1, c8)
 	}
 	if b1 != b8 {
 		t.Errorf("energy bumps differ across worker counts: %d vs %d", b1, b8)

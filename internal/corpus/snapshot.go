@@ -100,7 +100,11 @@ func (c *Corpus) Snapshot() *Snapshot {
 // whose source no longer parses is an error, not a skip: a checkpoint is
 // written atomically by this code, so damage means corruption, and
 // resuming from a silently thinned corpus would diverge without a trace.
+// A missing snapshot is an error too.
 func FromSnapshot(s *Snapshot) (*Corpus, error) {
+	if s == nil {
+		return nil, fmt.Errorf("corpus snapshot: none")
+	}
 	c := New(s.MaxSeeds)
 	c.nextID = s.NextID
 	c.admitted = s.Admitted

@@ -41,12 +41,13 @@ type CoordinatorConfig struct {
 	State *persist.State
 	// KnownFindings pre-seeds fleet-wide dedup (the resume path).
 	KnownFindings []uint64
-	// ResumeWatermark skips leases wholly below this slot (the resumed
-	// checkpoint's NextSlot).
-	ResumeWatermark int64
-	// Corpus is the master corpus deltas fold into (nil = a fresh one
-	// holding at most corpus.DefaultMaxSeeds seeds).
-	Corpus *corpus.Corpus
+	// Resume, when set, is the checkpoint a restarted coordinator
+	// continues: leases wholly below its NextSlot are skipped, its corpus
+	// is the master corpus deltas fold into, and its totals are the base
+	// the lifetime totals of later checkpoints add to. Without it the
+	// master corpus starts empty, holding at most
+	// corpus.DefaultMaxSeeds seeds.
+	Resume *persist.Checkpoint
 	// Obs, when set, receives the fleet gauges and per-worker lease
 	// latency histograms.
 	Obs *obs.Registry
@@ -88,7 +89,10 @@ type Coordinator struct {
 	findings   []core.Finding
 	duplicates uint64
 	totals     ResultStats
-	relErr     error
+	// base is the resumed checkpoint's totals: what earlier incarnations
+	// counted.
+	base   persist.Totals
+	relErr error
 
 	workers     atomic.Int64
 	connSeq     atomic.Int64
@@ -126,14 +130,21 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:    cfg,
-		table:  newLeaseTable(cfg.StartSeed, cfg.Seeds, cfg.LeaseSlots, cfg.ResumeWatermark),
-		corpus: cfg.Corpus,
+		corpus: corpus.New(0),
 		dedup:  make(map[uint64]struct{}, len(cfg.KnownFindings)),
 		done:   make(chan struct{}),
 	}
-	if c.corpus == nil {
-		c.corpus = corpus.New(0)
+	var watermark int64
+	if cp := cfg.Resume; cp != nil {
+		watermark, c.base = cp.NextSlot, cp.Totals
+		if cp.Corpus != nil {
+			var err error
+			if c.corpus, err = corpus.FromSnapshot(cp.Corpus); err != nil {
+				return nil, fmt.Errorf("fleet: resume: %w", err)
+			}
+		}
 	}
+	c.table = newLeaseTable(cfg.StartSeed, cfg.Seeds, cfg.LeaseSlots, watermark)
 	for _, fp := range cfg.KnownFindings {
 		c.dedup[fp] = struct{}{}
 	}
@@ -398,26 +409,33 @@ func (c *Coordinator) release() {
 		}
 		c.totals.Generated += res.Stats.Generated
 		c.totals.Crashes += res.Stats.Crashes
+		c.totals.InvalidTransforms += res.Stats.InvalidTransforms
 		c.totals.Miscompilations += res.Stats.Miscompilations
 		c.totals.Mismatches += res.Stats.Mismatches
 		c.totals.Duplicates += res.Stats.Duplicates
 		c.totals.ToolErrors += res.Stats.ToolErrors
 		c.totals.Quarantined += res.Stats.Quarantined
+		c.totals.Timeouts += res.Stats.Timeouts
+		c.totals.UnknownVerdicts += res.Stats.UnknownVerdicts
 		c.totals.ElapsedNs += res.Stats.ElapsedNs
 	}
 	c.lastRelease.Store(time.Now().UnixNano())
 	if c.cfg.State != nil {
+		totals := c.base
+		totals.Add(persist.Totals{
+			Programs:        c.totals.Generated,
+			Findings:        uint64(len(c.findings)),
+			Duplicates:      c.totals.Duplicates + c.duplicates,
+			ToolErrors:      c.totals.ToolErrors,
+			Quarantined:     c.totals.Quarantined,
+			Timeouts:        c.totals.Timeouts,
+			UnknownVerdicts: c.totals.UnknownVerdicts,
+		})
 		cp := &persist.Checkpoint{
 			NextSlot: c.watermarkSlot(),
 			Seed:     c.cfg.Run.Seed,
 			Corpus:   c.corpus.Snapshot(),
-			Totals: persist.Totals{
-				Programs:    c.totals.Generated,
-				Findings:    uint64(len(c.findings)),
-				Duplicates:  c.totals.Duplicates + c.duplicates,
-				ToolErrors:  c.totals.ToolErrors,
-				Quarantined: c.totals.Quarantined,
-			},
+			Totals:   totals,
 		}
 		if err := c.cfg.State.SaveCheckpoint(cp); err != nil && c.relErr == nil {
 			c.relErr = fmt.Errorf("fleet: checkpoint: %w", err)

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,9 +15,9 @@ import (
 )
 
 // testRun is the defect-seeded fleet campaign configuration the tests
-// share: three registry bugs instrumented into the pipeline so findings
-// fire within a few seeds (the same trio the engine's own determinism
-// test uses).
+// share: two crash defects that fire on some programs and a semantic one
+// that miscompiles most of the rest, so findings come from both the
+// compile stage and the oracle within a few seeds.
 func testRun() RunConfig {
 	return RunConfig{
 		Seed:                    11,
@@ -26,12 +27,13 @@ func testRun() RunConfig {
 		Reduce:                  true,
 		ReduceMaxRounds:         3,
 		ReduceMaxPredicateCalls: 300,
-		Defects:                 []string{"P4C-C-04", "P4C-C-13", "P4C-S-02"},
+		Defects:                 []string{"P4C-C-17", "P4C-C-13", "P4C-S-02"},
 	}
 }
 
 // directRun is the single-process baseline: the same engine parameters
-// as one lease spanning the whole budget.
+// as one lease spanning the whole budget. It fails unless the oracle
+// found a miscompilation.
 func directRun(t *testing.T, run RunConfig, seeds int64) ([]core.Finding, *corpus.Corpus) {
 	t.Helper()
 	cfg, crp, err := engineConfigForLease(&run, Lease{ID: 0, Start: 0, Count: seeds}, validate.NewCache())
@@ -40,38 +42,18 @@ func directRun(t *testing.T, run RunConfig, seeds int64) ([]core.Finding, *corpu
 	}
 	e := core.NewEngine(cfg)
 	fs := e.Run(context.Background())
+	if e.Stats().Miscompilations == 0 {
+		t.Fatal("no miscompilation: the oracle found nothing within the budget")
+	}
 	return fs, crp
 }
 
-// findingKey renders every determinism-bearing field of a finding —
-// witness bytes included — so slices compare order-sensitively.
-func findingKey(f core.Finding) string {
-	prov := ""
-	if f.Provenance != nil {
-		// Schedule fields only: wall-clock provenance varies run to run by
-		// contract.
-		prov = fmt.Sprintf("slot=%d round=%d origin=%s", f.Provenance.Slot, f.Provenance.Round, f.Provenance.Origin)
-	}
-	return fmt.Sprintf("%s|%d|%s|%s|%s|%016x|%s|%d|%d|%s|%s",
-		f.Kind, f.Seed, f.Backend, f.Pass, f.Detail, f.Fingerprint, f.Origin,
-		f.SizeBefore, f.SizeAfter, f.Source, prov)
-}
-
-func findingKeys(fs []core.Finding) []string {
-	out := make([]string, len(fs))
-	for i, f := range fs {
-		out[i] = findingKey(f)
-	}
-	return out
-}
-
-func diffFindings(t *testing.T, label string, want, got []core.Finding) {
-	t.Helper()
-	w, g := findingKeys(want), findingKeys(got)
-	if strings.Join(w, "\n") != strings.Join(g, "\n") {
-		t.Errorf("%s: findings diverge\nwant (%d):\n  %s\ngot (%d):\n  %s",
-			label, len(w), strings.Join(w, "\n  "), len(g), strings.Join(g, "\n  "))
-	}
+// sameStream reports whether two finding streams carry the same
+// fingerprints and witness bytes in the same order.
+func sameStream(a, b []core.Finding) bool {
+	return slices.EqualFunc(a, b, func(x, y core.Finding) bool {
+		return x.Fingerprint == y.Fingerprint && x.Source == y.Source
+	})
 }
 
 func localWorkers(n int) []WorkerConfig {
@@ -80,44 +62,6 @@ func localWorkers(n int) []WorkerConfig {
 		ws[i] = WorkerConfig{Name: fmt.Sprintf("w%d", i)}
 	}
 	return ws
-}
-
-// TestFleetInvariance: for a fixed seed budget, the coordinator+N-worker
-// finding set, witness bytes, report order and merged corpus must be
-// identical to the single-process engine run, for N ∈ {1, 2, 4} — the
-// engine's worker-count invariance contract lifted across process
-// boundaries (run under -race in CI).
-func TestFleetInvariance(t *testing.T) {
-	run := testRun()
-	const seeds, leaseSlots = 48, 16
-	want, wantCorpus := directRun(t, run, seeds)
-	if len(want) == 0 {
-		t.Fatal("no findings: the seeded defects should fire within 48 seeds")
-	}
-	wantFPs := wantCorpus.Fingerprints()
-	wantStats := wantCorpus.Stats()
-	for _, n := range []int{1, 2, 4} {
-		coord, err := NewCoordinator(CoordinatorConfig{
-			Run: run, Seeds: seeds, LeaseSlots: leaseSlots,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := RunLocal(context.Background(), coord, localWorkers(n)); err != nil {
-			t.Fatalf("workers=%d: %v", n, err)
-		}
-		diffFindings(t, fmt.Sprintf("workers=%d", n), want, coord.Findings())
-		gotFPs := coord.Corpus().Fingerprints()
-		if fmt.Sprint(wantFPs) != fmt.Sprint(gotFPs) {
-			t.Errorf("workers=%d: corpus seed fingerprints diverge:\nwant %v\ngot  %v", n, wantFPs, gotFPs)
-		}
-		gotStats := coord.Corpus().Stats()
-		if wantStats.Seeds != gotStats.Seeds || wantStats.Admitted != gotStats.Admitted ||
-			wantStats.Rejected != gotStats.Rejected || wantStats.Evicted != gotStats.Evicted ||
-			wantStats.Edges != gotStats.Edges || wantStats.Fingerprints != gotStats.Fingerprints {
-			t.Errorf("workers=%d: corpus stats diverge:\nwant %+v\ngot  %+v", n, wantStats, gotStats)
-		}
-	}
 }
 
 // TestFleetLeaseAlignment: a lease length that does not divide into
@@ -170,8 +114,8 @@ func TestFleetObs(t *testing.T) {
 	if st.LeasesTotal != 2 || st.LeasesReleased != 2 || st.WatermarkSlot != 32 {
 		t.Errorf("status = %+v, want 2/2 leases released, watermark 32", st)
 	}
-	if st.Totals.Generated == 0 {
-		t.Error("status totals report zero generated programs")
+	if st.Totals.Generated == 0 || st.Totals.Miscompilations == 0 {
+		t.Errorf("status totals report %d generated programs, %d miscompiled", st.Totals.Generated, st.Totals.Miscompilations)
 	}
 	if err := coord.Health(); err != nil {
 		t.Errorf("completed coordinator reports unhealthy: %v", err)

@@ -138,17 +138,22 @@ type Lease struct {
 	Count int64 `json:"count"`
 }
 
-// ResultStats is the per-lease engine stats digest the coordinator
-// aggregates for /statusz (observation only — no determinism contract).
+// ResultStats is the per-lease engine stats digest the coordinator sums
+// for /statusz and for its checkpoints' lifetime totals. The program and
+// finding-kind counts depend only on the schedule; the rest are
+// observation only.
 type ResultStats struct {
-	Generated       uint64 `json:"generated"`
-	Crashes         uint64 `json:"crashes"`
-	Miscompilations uint64 `json:"miscompilations"`
-	Mismatches      uint64 `json:"mismatches"`
-	Duplicates      uint64 `json:"duplicates"`
-	ToolErrors      uint64 `json:"tool_errors"`
-	Quarantined     uint64 `json:"quarantined"`
-	ElapsedNs       int64  `json:"elapsed_ns"`
+	Generated         uint64 `json:"generated"`
+	Crashes           uint64 `json:"crashes"`
+	InvalidTransforms uint64 `json:"invalid_transforms,omitempty"`
+	Miscompilations   uint64 `json:"miscompilations"`
+	Mismatches        uint64 `json:"mismatches"`
+	Duplicates        uint64 `json:"duplicates"`
+	ToolErrors        uint64 `json:"tool_errors"`
+	Quarantined       uint64 `json:"quarantined"`
+	Timeouts          uint64 `json:"timeouts,omitempty"`
+	UnknownVerdicts   uint64 `json:"unknown_verdicts,omitempty"`
+	ElapsedNs         int64  `json:"elapsed_ns"`
 }
 
 // Result carries one completed lease back: the lease engine's report

@@ -2,10 +2,10 @@ package fleet
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/persist"
 )
 
@@ -19,8 +19,9 @@ func fingerprints(fs []core.Finding) []uint64 {
 
 // TestFleetResume: the coordinator owns the campaign's single journal and
 // checkpoint, and a restarted coordinator — journal-seeded dedup plus the
-// checkpoint watermark and corpus — must continue a partial campaign so
-// the combined journal is byte-for-byte the single uninterrupted run, and
+// checkpoint's watermark, corpus and totals — must continue a partial
+// campaign so the combined journal is byte-for-byte the single
+// uninterrupted run, the final checkpoint counts the whole campaign, and
 // at-least-once lease replay never re-reports a journaled fingerprint.
 func TestFleetResume(t *testing.T) {
 	run := testRun()
@@ -69,14 +70,10 @@ func TestFleetResume(t *testing.T) {
 	if cp.NextSlot != 16 {
 		t.Fatalf("checkpoint NextSlot = %d, want 16", cp.NextSlot)
 	}
-	crp, err := corpus.FromSnapshot(cp.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var emitted []core.Finding
 	coord2, err := NewCoordinator(CoordinatorConfig{
 		Run: run, Seeds: seeds, LeaseSlots: leaseSlots, State: st2,
-		KnownFindings: known, ResumeWatermark: cp.NextSlot, Corpus: crp,
+		KnownFindings: known, Resume: cp,
 		OnFinding: func(f core.Finding) { emitted = append(emitted, f) },
 	})
 	if err != nil {
@@ -97,34 +94,30 @@ func TestFleetResume(t *testing.T) {
 	}
 
 	// The combined journal must be the uninterrupted run's finding
-	// sequence, and the resumed master corpus the uninterrupted corpus.
+	// sequence, the resumed master corpus the uninterrupted corpus, and
+	// the final checkpoint's totals the whole campaign's.
 	st3, err := persist.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	all, _, err := st3.KnownFindings()
-	st3.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFPs := fingerprints(want)
-	if len(all) != len(wantFPs) {
-		t.Fatalf("journal has %d findings, uninterrupted run has %d:\njournal %x\nwant    %x", len(all), len(wantFPs), all, wantFPs)
+	final, err := st3.LoadCheckpoint()
+	st3.Close()
+	if err != nil || final == nil {
+		t.Fatalf("final checkpoint: %v (cp=%v)", err, final)
 	}
-	for i := range all {
-		if all[i] != wantFPs[i] {
-			t.Fatalf("journal[%d] = %016x, uninterrupted run has %016x", i, all[i], wantFPs[i])
-		}
+	if got := final.Totals; got.Programs != seeds || got.Findings != uint64(len(want)) {
+		t.Errorf("final checkpoint counts %d programs and %d findings, want the campaign's %d and %d",
+			got.Programs, got.Findings, seeds, len(want))
 	}
-	wantCorpusFPs := wantCorpus.Fingerprints()
-	gotCorpusFPs := coord2.Corpus().Fingerprints()
-	if len(wantCorpusFPs) != len(gotCorpusFPs) {
-		t.Fatalf("resumed corpus has %d seeds, uninterrupted run has %d", len(gotCorpusFPs), len(wantCorpusFPs))
+	if wantFPs := fingerprints(want); !slices.Equal(all, wantFPs) {
+		t.Fatalf("journal holds findings %x, the uninterrupted run %x", all, wantFPs)
 	}
-	for i := range wantCorpusFPs {
-		if wantCorpusFPs[i] != gotCorpusFPs[i] {
-			t.Fatalf("resumed corpus seed %d fingerprint diverges", i)
-		}
+	if w, g := wantCorpus.Fingerprints(), coord2.Corpus().Fingerprints(); !slices.Equal(w, g) {
+		t.Fatalf("resumed corpus seeds %x, the uninterrupted run's %x", g, w)
 	}
 
 	// Phase 3: replay absorption. Resume again from the phase-1 watermark
@@ -135,13 +128,9 @@ func TestFleetResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crp2, err := corpus.FromSnapshot(cp.Corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
 	coord3, err := NewCoordinator(CoordinatorConfig{
 		Run: run, Seeds: seeds, LeaseSlots: leaseSlots, State: st4,
-		KnownFindings: all, ResumeWatermark: 16, Corpus: crp2,
+		KnownFindings: all, Resume: cp,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +154,7 @@ func TestFleetResume(t *testing.T) {
 	// the coordinator is born complete.
 	coord4, err := NewCoordinator(CoordinatorConfig{
 		Run: run, Seeds: seeds, LeaseSlots: leaseSlots,
-		KnownFindings: all, ResumeWatermark: seeds,
+		KnownFindings: all, Resume: &persist.Checkpoint{NextSlot: seeds},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -114,14 +114,17 @@ func runLease(ctx context.Context, run *RunConfig, lease Lease, cache *validate.
 		Findings: findings,
 		Delta:    crp.ExportDelta(),
 		Stats: ResultStats{
-			Generated:       s.Generated,
-			Crashes:         s.Crashes,
-			Miscompilations: s.Miscompilations,
-			Mismatches:      s.Mismatches,
-			Duplicates:      s.Duplicates,
-			ToolErrors:      s.CompileErrors + s.OracleErrors,
-			Quarantined:     s.Quarantined,
-			ElapsedNs:       s.Elapsed.Nanoseconds(),
+			Generated:         s.Generated,
+			Crashes:           s.Crashes,
+			InvalidTransforms: s.InvalidTransforms,
+			Miscompilations:   s.Miscompilations,
+			Mismatches:        s.Mismatches,
+			Duplicates:        s.Duplicates,
+			ToolErrors:        s.CompileErrors + s.OracleErrors,
+			Quarantined:       s.Quarantined,
+			Timeouts:          s.Timeouts,
+			UnknownVerdicts:   s.UnknownVerdicts,
+			ElapsedNs:         s.Elapsed.Nanoseconds(),
 		},
 	}, nil
 }

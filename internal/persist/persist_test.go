@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gauntlet/internal/core"
+	"gauntlet/internal/corpus"
 )
 
 func TestJournalAppendReplay(t *testing.T) {
@@ -184,7 +185,7 @@ func TestJournalProvenanceCompat(t *testing.T) {
 	rich := core.Finding{
 		Seed: 42, Detail: "d", Fingerprint: 777,
 		Provenance: &core.Provenance{
-			Slot: 42, Round: 1, Origin: "mutate",
+			Slot: 42, Origin: "mutate",
 			Mutations:  []string{"swap-tables"},
 			GenerateNs: 100, CompileNs: 200, OracleNs: 300,
 			QueryTiers: map[string]uint64{"cdcl": 2, "simplified": 5},
@@ -338,6 +339,40 @@ func FuzzJournalReopen(f *testing.F) {
 		}
 		if strings.Join(got, "\n") != strings.Join(want, "\n") {
 			t.Fatalf("replay of %q = %q, want %q", initial, got, want)
+		}
+	})
+}
+
+// FuzzLoadCheckpoint loads arbitrary bytes as a checkpoint. The load
+// fails, or the checkpoint's corpus restores or fails to restore with an
+// error; no input panics. A corpus that restores snapshots to a snapshot
+// that restores and snapshots to itself again. Its seed corpus is under
+// testdata/fuzz/FuzzLoadCheckpoint: a checkpoint a 16-slot mutating run
+// wrote, an empty file, that checkpoint truncated, that checkpoint with a
+// seed source that does not parse, and a checkpoint without a corpus.
+func FuzzLoadCheckpoint(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "checkpoint.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			return
+		}
+		c, err := corpus.FromSnapshot(cp.Corpus)
+		if err != nil {
+			return
+		}
+		once := c.Snapshot()
+		again, err := corpus.FromSnapshot(once)
+		if err != nil {
+			t.Fatalf("a restored corpus snapshots to one that does not restore: %v", err)
+		}
+		a, _ := json.Marshal(once)
+		b, _ := json.Marshal(again.Snapshot())
+		if !bytes.Equal(a, b) {
+			t.Fatalf("snapshot changed across a restore:\n%s\n%s", a, b)
 		}
 	})
 }
