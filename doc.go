@@ -374,14 +374,17 @@
 // The invariance contract, race-tested in internal/core: installing the
 // registry changes cost only — finding set, witness bytes, report order
 // and corpus are byte-identical with obs on and off at any worker
-// count. One test checks the whole contract: TestInvarianceMatrix
-// compares one observable (findings in report order with every field
+// count. One observable checks the whole contract: TestInvarianceMatrix
+// compares it (findings in report order with every field
 // but wall-clock provenance and counterexample values, witness hashes,
 // corpus fingerprints and stats, schedule-only counters) across rows
 // that toggle workers, mutation, epoch rotation, the concolic tier, the
 // registry, reduction width and the fleet executor, plus a capped, a
 // black-box TNA and a fault-injected campaign with references of their
-// own. Its cost is measured with bench/ab.sh on the pinned workloads.
+// own. TestEngineDeterminism, TestEngineMutationDeterminism,
+// TestEngineEpochDeterminism and TestObsInvariance vary one toggle each
+// over the same observable, so a failing row can be traced to a toggle.
+// The registry's cost is measured with bench/ab.sh on the pinned workloads.
 // Negative: nothing in obs makes scheduling decisions — health is keyed
 // off fold progress but only reports it, and provenance timings never
 // feed back into the engine.

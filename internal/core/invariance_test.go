@@ -355,25 +355,81 @@ func TestInvarianceMatrix(t *testing.T) {
 	} {
 		t.Run(cs.name, func(t *testing.T) {
 			t.Parallel()
-			var ref string
-			for i, r := range cs.rows {
-				ok := t.Run(r.name, func(t *testing.T) {
-					run := runEngine
-					if r.fleet > 0 {
-						run = runFleet
-					}
-					fs, s, got := run(t, cs.c, r)
-					if i == 0 {
-						cs.c.live(t, fs, s)
-						ref = got
-					} else if got != ref {
-						t.Errorf("observable differs from the reference at %s\nreference:\n%s", firstDiff(ref, got), ref)
-					}
-				})
-				if !ok && i == 0 {
-					return
-				}
-			}
+			cs.c.check(t, cs.rows)
 		})
 	}
+}
+
+// check runs each row of c as a subtest, in order. The first row is the
+// reference and must be live; every later row's observable must equal
+// it.
+func (c *campaign) check(t *testing.T, rows []row) {
+	t.Helper()
+	var ref string
+	for i, r := range rows {
+		ok := t.Run(r.name, func(t *testing.T) {
+			run := runEngine
+			if r.fleet > 0 {
+				run = runFleet
+			}
+			fs, s, got := run(t, c, r)
+			if i == 0 {
+				c.live(t, fs, s)
+				ref = got
+			} else if got != ref {
+				t.Errorf("observable differs from the reference at %s\nreference:\n%s", firstDiff(ref, got), ref)
+			}
+		})
+		if !ok && i == 0 {
+			return
+		}
+	}
+}
+
+// The matrix varies several toggles per row, so a failing row does not
+// say which toggle broke the contract. The four tests below each vary one
+// toggle alone against a reference of their own, over the same
+// observable.
+
+// TestEngineDeterminism: the engine's worker count alone does not show in
+// a generation campaign's output.
+func TestEngineDeterminism(t *testing.T) {
+	t.Parallel()
+	generation.check(t, []row{
+		{name: "reference", workers: 1, width: 1},
+		{name: "w8", workers: 8, width: 1},
+	})
+}
+
+// TestObsInvariance: installing the metrics registry changes cost only.
+// Eight workers make the instrumented run a race check on the sharded
+// instruments under -race.
+func TestObsInvariance(t *testing.T) {
+	t.Parallel()
+	generation.check(t, []row{
+		{name: "reference", workers: 8, width: 1},
+		{name: "w8-obs", workers: 8, obs: true, width: 1},
+	})
+}
+
+// TestEngineMutationDeterminism: the worker count alone does not show in
+// a mutating campaign's findings, corpus or mutation schedule.
+func TestEngineMutationDeterminism(t *testing.T) {
+	t.Parallel()
+	mutation.check(t, []row{
+		{name: "reference", workers: 1, width: 1},
+		{name: "w8", workers: 8, width: 1},
+	})
+}
+
+// TestEngineEpochDeterminism: epoch rotation alone does not show in a
+// mutating campaign's output. Rotation replaces the interner, simplify
+// and verdict caches wholesale, and a fresh cache must recompute the same
+// answers.
+func TestEngineEpochDeterminism(t *testing.T) {
+	t.Parallel()
+	mutation.check(t, []row{
+		{name: "reference", workers: 8, width: 1},
+		{name: "w8-epochs", workers: 8, epochs: 8, width: 1},
+	})
 }
