@@ -65,10 +65,10 @@ func fleetCarried(cfg core.EngineConfig) string {
 // byte-for-byte comparison of their findings would compare two
 // different campaigns.
 func TestFuzzAndFleetEngineConfigsAgree(t *testing.T) {
-	const defects = "P4C-C-04,P4C-C-13,P4C-S-02"
-	base := mustParse(t, "-mode", "fuzz", "-seeds", "2048", "-seed", "11", "-mutate-ratio", "0",
+	const defects = "P4C-C-17,P4C-C-13,P4C-S-02"
+	base := mustParse(t, "-mode", "fuzz", "-seeds", "512", "-seed", "11", "-mutate-ratio", "0",
 		"-defects", defects, "-jsonl", "base.jsonl")
-	coord := mustParse(t, "-mode", "coordinator", "-listen", "fleet.sock", "-seeds", "2048", "-seed", "11",
+	coord := mustParse(t, "-mode", "coordinator", "-listen", "fleet.sock", "-seeds", "512", "-seed", "11",
 		"-lease-slots", "64", "-workers", "2", "-defects", defects, "-state", "state",
 		"-http", "127.0.0.1:0", "-jsonl", "fleet1.jsonl")
 	fuzzCfg, err := engineConfig(base)

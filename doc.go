@@ -229,20 +229,25 @@
 // composites panic), so a formula built from context-owned leaves lives
 // entirely in that context without threading a handle through every call
 // site. The package-level constructors and smt.True/False remain as the
-// process-default context for tests, examples and campaign-scale runs.
+// process-default context for tests, examples and core.Campaign, never
+// for an engine.
 //
-// Long-running deployments bound memory by epoch-based reclamation:
-// core.Engine (EpochPrograms > 0, the p4gauntlet serve mode) owns one
-// context per epoch and rotates it at a SyncInterval-aligned round
-// boundary — the same deterministic fold point the corpus admissions use
-// — installing a fresh smt.Context + validate.Cache pair. In-flight
-// oracle calls finish on the pair they captured (Oracle.CacheFn resolves
-// it once per call), and the retired generation — terms, simplify memo,
-// verdicts, block formulas — becomes garbage when the last of them
-// drains. Nothing is evicted term-by-term and nothing is shared across
-// epochs except the corpus (plain ASTs: its live seed programs re-intern
-// their block formulas lazily on first touch in the new context) and the
-// process-global SAT gate counters (reported as per-epoch deltas).
+// core.Engine owns one private context per epoch, from its first epoch
+// on, so an engine's terms die with it (a fleet lease's with the lease).
+// Long-running deployments bound memory by epoch-based reclamation
+// (EpochPrograms > 0, the p4gauntlet serve mode): the engine rotates its
+// context at a SyncInterval-aligned round boundary — the same
+// deterministic fold point the corpus admissions use — installing a fresh
+// smt.Context + validate.Cache pair. Each oracle call binds the current
+// pair once, on its own copy of the oracle (Oracle.Cache), so in-flight
+// calls finish on the pair they started with, and the retired generation
+// — terms, simplify memo, verdicts, block formulas — becomes garbage when
+// the last of them drains. Nothing is evicted term-by-term and nothing is
+// shared across epochs except the corpus (plain ASTs: its live seed
+// programs re-intern their block formulas lazily on first touch in the
+// new context) and the counters (the epochs' caches count into one block,
+// and the SAT gate counters are process-global; both are reported as
+// per-epoch deltas).
 // Because caches only ever change cost, never verdicts, the finding set
 // for a fixed seed budget is identical across worker counts and epoch
 // sizes (tested, race-enabled); per-epoch context bytes plateau instead

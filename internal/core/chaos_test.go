@@ -45,7 +45,6 @@ func TestChaosContainment(t *testing.T) {
 	cfg := buggyEngineConfig(t, 48, 4, "P4C-C-17", "P4C-S-02")
 	cfg.EpochPrograms = 16
 	cfg.SyncInterval = 8
-	cfg.Cache = nil
 	// Far above any natural stage duration (even under -race slowdown, so
 	// the exact fired==quarantined accounting below can't pick up stray
 	// genuine stalls), far below the injected 10-minute ones.

@@ -62,37 +62,44 @@ func TestConcolicResolvesQueriesWithoutSolver(t *testing.T) {
 // TestMismatchReductionReplaysCounterexample: reducing a packet-mismatch
 // finding must hit the counterexample-replay fast path — one compile plus
 // one injection per candidate — instead of re-running full symbolic test
-// generation every time.
+// generation every time. Replay is a remembered input, not a concolic
+// shortcut, so it must run with the concolic tier off as well.
 func TestMismatchReductionReplaysCounterexample(t *testing.T) {
-	cfg := buggyEngineConfig(t, 20, 4, "BMV2-S-01")
-	// BMV2-S-01 hides in the BMv2Lowering backend pass, so the defect only
-	// arms on the full device pipeline (buggyEngineConfig instruments the
-	// mid-end-only default) — and it surfaces as a packet mismatch only in
-	// the paper's black-box back-end mode, where translation validation
-	// cannot see inside the lowering.
-	reg := bugs.Load()
-	cfg.Passes = bugs.Instrument(append(compiler.DefaultPasses(), bmv2.BackendPasses()...),
-		[]*bugs.Bug{reg.ByID("BMV2-S-01")})
-	cfg.PacketTests = true
-	cfg.BlackBox = true
-	e := core.NewEngine(cfg)
-	fs := e.Run(context.Background())
-	var mismatches int
-	for _, f := range fs {
-		if f.Kind == core.FindingMismatch {
-			mismatches++
+	for _, concolicOff := range []bool{false, true} {
+		cfg := buggyEngineConfig(t, 20, 4, "BMV2-S-01")
+		// BMV2-S-01 hides in the BMv2Lowering backend pass, so the defect
+		// only arms on the full device pipeline (buggyEngineConfig
+		// instruments the mid-end-only default) — and it surfaces as a
+		// packet mismatch only in the paper's black-box back-end mode,
+		// where translation validation cannot see inside the lowering.
+		reg := bugs.Load()
+		cfg.Passes = bugs.Instrument(append(compiler.DefaultPasses(), bmv2.BackendPasses()...),
+			[]*bugs.Bug{reg.ByID("BMV2-S-01")})
+		cfg.PacketTests = true
+		cfg.BlackBox = true
+		cfg.ConcolicOff = concolicOff
+		e := core.NewEngine(cfg)
+		fs := e.Run(context.Background())
+		var mismatches int
+		for _, f := range fs {
+			if f.Kind == core.FindingMismatch {
+				mismatches++
+			}
 		}
-	}
-	if mismatches == 0 {
-		t.Fatalf("no mismatch findings from seeded device defect (findings: %v)", fingerprintSet(fs))
-	}
-	s := e.Stats()
-	if s.CexReplayHits == 0 {
-		t.Errorf("mismatch reduction never replayed the cached counterexample (predicate calls: %d)",
-			s.ReducePredicateCalls)
-	}
-	if s.SolverCallsAvoided < s.CexReplayHits {
-		t.Errorf("SolverCallsAvoided=%d < CexReplayHits=%d", s.SolverCallsAvoided, s.CexReplayHits)
+		if mismatches == 0 {
+			t.Fatalf("ConcolicOff %v: no mismatch findings from seeded device defect (findings: %v)",
+				concolicOff, fingerprintSet(fs))
+		}
+		s := e.Stats()
+		if s.CexReplayHits == 0 {
+			t.Errorf("ConcolicOff %v: mismatch reduction never replayed the cached counterexample (predicate calls: %d)",
+				concolicOff, s.ReducePredicateCalls)
+		}
+		if s.SolverCallsAvoided < s.CexReplayHits {
+			t.Errorf("ConcolicOff %v: SolverCallsAvoided=%d < CexReplayHits=%d",
+				concolicOff, s.SolverCallsAvoided, s.CexReplayHits)
+		}
+		t.Logf("ConcolicOff %v: %d mismatches, %d counterexample replays", concolicOff, mismatches, s.CexReplayHits)
 	}
 }
 

@@ -257,20 +257,17 @@ type EngineConfig struct {
 	// a function of the schedule: the unique-finding set and witness
 	// bytes stay worker-count-independent above the cap as well.
 	MaxReducePerPass int
-	// Cache is the shared validation cache (nil = new private cache).
-	// Incompatible with EpochPrograms > 0: a rotating engine owns its
-	// cache lifecycle and replaces the pair wholesale at every epoch
-	// boundary.
-	Cache *validate.Cache
-	// EpochPrograms bounds per-epoch memory: after this many programs
-	// have been folded at round boundaries, the engine rotates its
-	// smt.Context + validation cache — a fresh interner, simplify memo
-	// and verdict/block cache; the retired generation is reclaimed once
-	// in-flight oracle calls drain. Rotation happens only at the
-	// deterministic SyncInterval-aligned fold points, so the finding set
-	// for a fixed Seed budget is identical across worker counts and
-	// epoch sizes (verdicts are recomputed, never changed, by a fresh
-	// cache). 0 disables rotation (campaign-scale runs).
+	// EpochPrograms bounds per-epoch memory. Every engine builds its
+	// terms and caches in a private smt.Context + validation cache pair,
+	// its epoch; after this many programs have been folded at round
+	// boundaries, the engine rotates to a fresh pair — a fresh interner,
+	// simplify memo and verdict/block cache; the retired generation is
+	// reclaimed once in-flight oracle calls drain. Rotation happens only
+	// at the deterministic SyncInterval-aligned fold points, so the
+	// finding set for a fixed Seed budget is identical across worker
+	// counts and epoch sizes (verdicts are recomputed, never changed, by
+	// a fresh cache). 0 means one epoch that never rotates: the engine's
+	// memory is bounded by its run (campaign-scale runs, fleet leases).
 	EpochPrograms int
 	// OnEpoch, when set, receives the retiring epoch's snapshot at each
 	// rotation (called from the collector goroutine).
@@ -491,12 +488,12 @@ type EpochStats struct {
 	// Context is the epoch's interner + simplify-memo snapshot at
 	// retirement: the bytes/entries reclaimed by the rotation.
 	Context smt.ContextStats `json:"context"`
-	// Cache is the epoch's validation-cache counters at retirement.
-	Cache validate.CacheStats `json:"cache"`
-	// GatesBuilt and GatesReused are the epoch's share of the structural
-	// gate-cache counters (deltas over the epoch).
-	GatesBuilt  uint64 `json:"gates_built"`
-	GatesReused uint64 `json:"gates_reused"`
+	// Cache and GatesBuilt/GatesReused are the epoch's share of the
+	// validation-cache and structural gate-cache counters: deltas from
+	// the epoch's start to the next epoch's.
+	Cache       validate.CacheStats `json:"cache"`
+	GatesBuilt  uint64              `json:"gates_built"`
+	GatesReused uint64              `json:"gates_reused"`
 }
 
 // Summary renders the snapshot as a short multi-line report.
@@ -563,26 +560,18 @@ type Engine struct {
 	oracle *Oracle
 	corpus *corpus.Corpus
 
-	// epoch is the current (smt context, validation cache) pair. Oracle
-	// calls resolve it once per call through Oracle.CacheFn; the
-	// collector swaps it at EpochPrograms-aligned fold boundaries.
+	// epoch is the current (smt context, validation cache) pair. Every
+	// oracle call binds it once, on its own copy of the oracle
+	// (epochOracle); the collector swaps it at EpochPrograms-aligned fold
+	// boundaries. All epochs' caches count into one counter block.
 	epoch atomic.Pointer[epochState]
 	// programsFolded counts programs folded into the corpus at round
 	// boundaries — the deterministic epoch clock.
 	programsFolded atomic.Uint64
-	// retiredMu orders epoch rotation against Stats reads: rotateEpoch
-	// folds and swaps under it, Stats loads the epoch pointer and reads
-	// the retired totals under it — so a rotation is atomic from Stats'
-	// view and no epoch is ever counted twice or missed. Only the most
-	// recently retired epoch's counter handle is kept live (a few
-	// atomics; the cache maps are never retained) so increments from
-	// oracle calls still in flight at its rotation keep counting; at the
-	// next rotation its final snapshot folds into retiredTotal. An
-	// in-flight call would have to span two whole epochs for its tail to
-	// be missed, and the state stays O(1) over a multi-day run.
-	retiredMu    sync.Mutex
-	retiredTotal validate.CacheStats
-	lastRetired  *validate.CacheCounters
+	// epochMu orders a rotation against Stats reading the current
+	// epoch's baselines: both the swap and the read happen under it, so
+	// no epoch's deltas are taken against another epoch's baselines.
+	epochMu sync.Mutex
 
 	startNano atomic.Int64
 	endNano   atomic.Int64
@@ -621,18 +610,18 @@ type Engine struct {
 
 // epochState is one epoch's scoped solver-stack state: the smt context
 // all terms are built in and the validation cache bound to it, plus the
-// baselines needed to report per-epoch deltas of process-global
-// counters.
+// baselines needed to report per-epoch deltas of cumulative counters.
 type epochState struct {
 	index                           int
 	ctx                             *smt.Context
 	cache                           *validate.Cache
 	startPrograms                   uint64
 	baseGatesBuilt, baseGatesReused uint64
+	baseCache                       validate.CacheStats
 }
 
 // NewEngine builds an engine, filling config defaults (worker count,
-// pipeline for the backend, cache).
+// pipeline for the backend), and its first epoch.
 func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -645,23 +634,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	if cfg.ReduceOpts.Parallelism <= 0 {
 		cfg.ReduceOpts.Parallelism = cfg.Workers
-	}
-	if cfg.Cache == nil {
-		if cfg.EpochPrograms > 0 {
-			// A rotating engine owns its context lifecycle from the
-			// start: epoch 0 already lives in a private context, so the
-			// immortal default context sees no engine terms at all.
-			cfg.Cache = validate.NewCacheIn(smt.NewContext())
-		} else {
-			cfg.Cache = validate.NewCache()
-		}
-	} else if cfg.EpochPrograms > 0 {
-		// A caller-supplied cache cannot survive rotation (the engine
-		// would silently abandon it at the first epoch boundary while
-		// the caller keeps reading it, and a default-context cache would
-		// pin every term in the immortal default interner). Fail loudly:
-		// this is a configuration bug, not a tunable.
-		panic("core.NewEngine: EngineConfig.Cache and EpochPrograms > 0 are incompatible (a rotating engine owns its cache lifecycle)")
 	}
 	if cfg.SyncInterval <= 0 {
 		cfg.SyncInterval = DefaultSyncInterval
@@ -697,22 +669,21 @@ func NewEngine(cfg EngineConfig) *Engine {
 			TestOpts:     testOpts,
 			Validate:     !cfg.BlackBox,
 			PacketTests:  cfg.PacketTests,
-			Cache:        cfg.Cache,
 			Timeout:      cfg.OracleTimeout,
 			// Concolic batch inputs derive from (Seed, miter structure)
 			// only — the same batches on every worker, every run.
 			Concolic: validate.Concolic{Disable: cfg.ConcolicOff, Seed: uint64(cfg.Seed)},
 		},
 	}
+	// Epoch 0 is private like every later one: the immortal default
+	// context sees no engine terms at all.
+	ctx := smt.NewContext()
 	gb, gr := solver.GateStats()
 	e.epoch.Store(&epochState{
-		ctx:            cfg.Cache.Context(),
-		cache:          cfg.Cache,
+		ctx:            ctx,
+		cache:          validate.NewCacheIn(ctx),
 		baseGatesBuilt: gb, baseGatesReused: gr,
 	})
-	// Oracle calls resolve the epoch pair per call, so a rotation never
-	// splits one Inspect across two contexts.
-	e.oracle.CacheFn = func() *validate.Cache { return e.epoch.Load().cache }
 	// The gate is sized to the worker pool, not to Parallelism×findings:
 	// however many findings reduce at once, at most Workers predicates
 	// run concurrently.
@@ -865,51 +836,47 @@ func (e *Engine) NoteDroppedRecord() { e.recordsDropped.Add(1) }
 // generation becomes garbage when the last of them drains. The fresh
 // context is re-seeded lazily: the corpus' live seed programs re-intern
 // their block formulas on first validation touch, and nothing else from
-// the retired epoch survives.
+// the retired epoch survives. The retiring epoch's counters are deltas
+// up to the new epoch's baselines, so a call still in flight on the old
+// pair counts toward the new epoch and never goes missing.
 func (e *Engine) rotateEpoch() {
 	old := e.epoch.Load()
-	// The epoch snapshot is point-in-time: oracle calls still in flight
-	// on the retiring pair may bump its counters after it, so the
-	// EpochStats record can slightly undercount the epoch's tail. The
-	// cumulative Stats do not: the retained counter handle keeps
-	// counting.
-	es := e.epochSnapshot(old)
 	ctx := smt.NewContext()
+	e.epochMu.Lock()
 	gb, gr := solver.GateStats()
-	e.retiredMu.Lock()
-	if e.lastRetired != nil {
-		e.retiredTotal.Add(e.lastRetired.Snapshot())
-	}
-	e.lastRetired = old.cache.Counters()
-	e.epoch.Store(&epochState{
+	next := &epochState{
 		index:          old.index + 1,
 		ctx:            ctx,
-		cache:          validate.NewCacheIn(ctx),
+		cache:          old.cache.Next(ctx),
 		startPrograms:  e.programsFolded.Load(),
 		baseGatesBuilt: gb, baseGatesReused: gr,
-	})
-	e.retiredMu.Unlock()
+		baseCache: old.cache.Snapshot(),
+	}
+	e.epoch.Store(next)
+	e.epochMu.Unlock()
 	if e.cfg.OnEpoch != nil {
-		e.cfg.OnEpoch(es)
+		e.cfg.OnEpoch(EpochStats{
+			Index:       old.index,
+			Programs:    next.startPrograms - old.startPrograms,
+			Context:     old.ctx.Stats(),
+			Cache:       next.baseCache.Sub(old.baseCache),
+			GatesBuilt:  gb - old.baseGatesBuilt,
+			GatesReused: gr - old.baseGatesReused,
+		})
 	}
 }
 
-// epochSnapshot captures one epoch's memory and counter state.
-func (e *Engine) epochSnapshot(ep *epochState) EpochStats {
-	gb, gr := solver.GateStats()
-	return EpochStats{
-		Index:       ep.index,
-		Programs:    e.programsFolded.Load() - ep.startPrograms,
-		Context:     ep.ctx.Stats(),
-		Cache:       ep.cache.Snapshot(),
-		GatesBuilt:  gb - ep.baseGatesBuilt,
-		GatesReused: gr - ep.baseGatesReused,
-	}
+// epochOracle returns a copy of o bound to the current epoch's cache. An
+// oracle call binds once, so it never mixes two epochs' terms.
+func (e *Engine) epochOracle(o *Oracle) *Oracle {
+	b := *o
+	b.Cache = e.epoch.Load().cache
+	return &b
 }
 
 // Oracle exposes the engine's shared oracle stage (the same one
-// Campaign.Hunt builds per bug).
-func (e *Engine) Oracle() *Oracle { return e.oracle }
+// Campaign.Hunt builds per bug), bound to the current epoch.
+func (e *Engine) Oracle() *Oracle { return e.epochOracle(e.oracle) }
 
 // RequestCheckpoint asks the collector to fire OnCheckpoint at the next
 // fold boundary (the SIGHUP "snapshot now" path). Safe from any
@@ -951,25 +918,16 @@ func (e *Engine) Stats() Stats {
 		RecordsDropped:       e.recordsDropped.Load(),
 		Corpus:               e.corpus.Stats(),
 	}
-	// Load the epoch pointer and sum the retired counter handles under
-	// retiredMu, the same lock rotateEpoch appends+swaps under: a
-	// concurrent rotation is atomic from this read's view, so the
-	// retiring cache is counted exactly once (as live before the swap,
-	// as retired after).
-	e.retiredMu.Lock()
-	ep := e.epoch.Load()
-	ret := e.retiredTotal
-	if e.lastRetired != nil {
-		ret.Add(e.lastRetired.Snapshot())
-	}
-	cs := ep.cache.Snapshot()
 	// The epoch-scoped readings (fold count, gate counters) must come
-	// from inside the same critical section that loaded ep: rotation
+	// from inside the same critical section that loads ep: rotation
 	// swaps baselines under this lock, so reading them outside would
 	// attribute the next epoch's activity to this epoch's baselines.
+	e.epochMu.Lock()
+	ep := e.epoch.Load()
 	folded := e.programsFolded.Load()
 	gb, gr := solver.GateStats()
-	e.retiredMu.Unlock()
+	e.epochMu.Unlock()
+	cs := ep.cache.Snapshot()
 	s.Epoch = ep.index
 	s.EpochProgramCount = folded - ep.startPrograms
 	s.Simp = ep.ctx.SimplifyStats()
@@ -977,15 +935,13 @@ func (e *Engine) Stats() Stats {
 	s.GatesBuilt, s.GatesReused = gb, gr
 	s.EpochGatesBuilt = gb - ep.baseGatesBuilt
 	s.EpochGatesReused = gr - ep.baseGatesReused
-	s.BlockHits = ret.BlockHits + cs.BlockHits
-	s.BlockMisses = ret.BlockMisses + cs.BlockMisses
-	s.VerdictHits = ret.VerdictHits + cs.VerdictHits
-	s.VerdictMisses = ret.VerdictMisses + cs.VerdictMisses
-	s.SimpResolved = ret.SimpResolved + cs.SimpResolved
-	s.TapesCompiled = ret.TapesCompiled + cs.TapesCompiled
-	s.ConcolicFalsified = ret.ConcolicFalsified + cs.ConcolicFalsified
-	s.ConcolicPackets = ret.ConcolicPackets + cs.ConcolicPackets
-	s.CexReplayHits = ret.ReplayHits + cs.ReplayHits + e.mismatchReplays.Load()
+	s.BlockHits, s.BlockMisses = cs.BlockHits, cs.BlockMisses
+	s.VerdictHits, s.VerdictMisses = cs.VerdictHits, cs.VerdictMisses
+	s.SimpResolved = cs.SimpResolved
+	s.TapesCompiled = cs.TapesCompiled
+	s.ConcolicFalsified = cs.ConcolicFalsified
+	s.ConcolicPackets = cs.ConcolicPackets
+	s.CexReplayHits = cs.ReplayHits + e.mismatchReplays.Load()
 	s.SolverCallsAvoided = s.ConcolicFalsified + s.CexReplayHits
 	if start := e.startNano.Load(); start != 0 {
 		end := e.endNano.Load()
@@ -1479,12 +1435,12 @@ func (r *run) inspect(w int) {
 	for u := range r.compCh {
 		out := Outcome{Result: u.res}
 		// Per-unit oracle copy (InspectLadder copies again for its
-		// ladder rungs anyway): the QueryObs hook accumulates this unit's
-		// resolution-tier counts for provenance. The tiers map is
-		// goroutine-private — queries run sequentially inside one
-		// inspection — and is read only on the success path, never after
-		// a fault abandons the closure.
-		oc := *e.oracle
+		// ladder rungs anyway), bound to the current epoch: the QueryObs
+		// hook accumulates this unit's resolution-tier counts for
+		// provenance. The tiers map is goroutine-private — queries run
+		// sequentially inside one inspection — and is read only on the
+		// success path, never after a fault abandons the closure.
+		oc := e.epochOracle(e.oracle)
 		var tiers map[string]uint64
 		oc.QueryObs = func(tier string, d time.Duration) {
 			if tiers == nil {
@@ -2011,7 +1967,7 @@ func (e *Engine) keepPredicate(f Finding) reduce.PredicateCtx {
 		ho := o.WithHints(f.cex)
 		return func(pctx context.Context, cand *ast.Program) bool {
 			e.reduceCalls.Add(1)
-			out := ho.Examine(pctx, cand)
+			out := e.epochOracle(ho).Examine(pctx, cand)
 			for _, v := range out.Failures {
 				if v.PassB == f.Pass {
 					return true
@@ -2022,6 +1978,7 @@ func (e *Engine) keepPredicate(f Finding) reduce.PredicateCtx {
 	}
 	return func(pctx context.Context, cand *ast.Program) bool {
 		e.reduceCalls.Add(1)
+		bo := e.epochOracle(o)
 		// Replay the cached failing case first: one compile plus one
 		// concrete injection decides most candidates, versus a full
 		// symbolic test-generation session. Replay runs regardless of
@@ -2029,12 +1986,12 @@ func (e *Engine) keepPredicate(f Finding) reduce.PredicateCtx {
 		// remembered input — so the reduction trajectory is identical with
 		// the fast path on or off.
 		if f.replay != nil {
-			if hit, err := o.ReplayMismatch(cand, *f.replay); err == nil && hit {
+			if hit, err := bo.ReplayMismatch(cand, *f.replay); err == nil && hit {
 				e.mismatchReplays.Add(1)
 				return true
 			}
 		}
-		out := o.Examine(pctx, cand)
+		out := bo.Examine(pctx, cand)
 		return len(out.Mismatches) > 0
 	}
 }

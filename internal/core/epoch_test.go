@@ -201,38 +201,27 @@ func TestEngineEnergyBumpDeterminism(t *testing.T) {
 }
 
 // TestEngineRotationKeepsDefaultContextClean pins the contract the
-// memory bound rests on: a rotating engine (EpochPrograms > 0) interns
-// every term — variables, generated-program literals, testgen
+// memory bound rests on: an engine, rotating (EpochPrograms > 0) or not,
+// interns every term — variables, generated-program literals, testgen
 // preference constants — in its epoch contexts, never in the immortal
 // package-default context. Any default-interner growth here is a slow
-// serve-mode leak no rotation can reclaim and the per-epoch CI gate
-// cannot see.
+// leak no rotation can reclaim and the per-epoch CI gate cannot see.
 func TestEngineRotationKeepsDefaultContextClean(t *testing.T) {
-	cfg := buggyEngineConfig(t, 24, 4, "P4C-C-04")
-	cfg.Seed = 13
-	cfg.MutateRatio = 0.5
-	cfg.SyncInterval = 8
-	cfg.EpochPrograms = 8
-	cfg.PacketTests = true
-	before := smt.InternerStats().Entries
-	core.NewEngine(cfg).Run(context.Background())
-	if after := smt.InternerStats().Entries; after != before {
-		t.Errorf("rotating engine interned %d terms into the immortal default context", after-before)
-	}
-}
-
-// TestEngineRejectsSharedCacheWithEpochs pins the config guard: a
-// caller-supplied cache cannot survive rotation, so combining it with
-// EpochPrograms must fail loudly instead of silently abandoning the
-// cache at the first boundary.
-func TestEngineRejectsSharedCacheWithEpochs(t *testing.T) {
-	cfg := buggyEngineConfig(t, 8, 1, "P4C-C-04")
-	cfg.EpochPrograms = 8
-	cfg.Cache = validate.NewCache()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewEngine accepted EngineConfig.Cache together with EpochPrograms > 0")
+	for _, epochs := range []int{0, 8} {
+		cfg := buggyEngineConfig(t, 24, 4, "P4C-C-17", "P4C-S-02")
+		cfg.Seed = 13
+		cfg.MutateRatio = 0.5
+		cfg.SyncInterval = 8
+		cfg.EpochPrograms = epochs
+		cfg.PacketTests = true
+		before := smt.InternerStats().Entries
+		e := core.NewEngine(cfg)
+		e.Run(context.Background())
+		if e.Stats().Compiled == 0 {
+			t.Fatalf("EpochPrograms %d: no program compiled, so the oracle never built a term", epochs)
 		}
-	}()
-	core.NewEngine(cfg)
+		if after := smt.InternerStats().Entries; after != before {
+			t.Errorf("EpochPrograms %d: the engine interned %d terms into the immortal default context", epochs, after-before)
+		}
+	}
 }

@@ -40,13 +40,11 @@ type Oracle struct {
 	// program against the input program's formula.
 	PacketTests bool
 	// Cache memoizes block formulas and equivalence verdicts (optional;
-	// shared across goroutines when set).
+	// shared across goroutines when set), and its context is where every
+	// term of a call is built. The engine sets it on a copy per call to
+	// its current epoch's cache, so a rotation takes effect for new calls
+	// while in-flight ones keep the pair they started with.
 	Cache *validate.Cache
-	// CacheFn, when set, overrides Cache with a per-call lookup: the
-	// engine points it at its current epoch's (context, cache) pair so a
-	// rotation takes effect for new Examine/Inspect calls while in-flight
-	// ones keep the pair they captured — no partially-swapped state.
-	CacheFn func() *validate.Cache
 	// Concolic configures the bit-parallel concrete fast path under every
 	// equivalence query (zero value = enabled with defaults; see
 	// validate.Concolic). Reduction predicates use WithHints to thread a
@@ -65,16 +63,6 @@ type Oracle struct {
 	// (wall-clock and conflicts) → explicit TimedOut outcome. Quarantine
 	// of repeat offenders is the engine's call, not the oracle's.
 	Timeout time.Duration
-}
-
-// cache resolves the validation cache for one oracle call. Each
-// Inspect/Examine resolves it exactly once, so a single call never mixes
-// terms from two epochs.
-func (o *Oracle) cache() *validate.Cache {
-	if o.CacheFn != nil {
-		return o.CacheFn()
-	}
-	return o.Cache
 }
 
 // Outcome is the oracle's verdict on one program. At most one finding
@@ -149,10 +137,9 @@ func (o *Oracle) Compile(prog *ast.Program) Outcome {
 // Test expectations come from the initial snapshot (the type-checked clone
 // of the input program: name references resolved, untouched by any pass).
 func (o *Oracle) Inspect(ctx context.Context, out *Outcome) {
-	cache := o.cache()
 	if o.Validate {
 		verdicts, err := validate.SnapshotsContext(ctx, out.Result,
-			validate.Options{MaxConflicts: o.MaxConflicts, Cache: cache, Concolic: o.Concolic, QueryObs: o.QueryObs})
+			validate.Options{MaxConflicts: o.MaxConflicts, Cache: o.Cache, Concolic: o.Concolic, QueryObs: o.QueryObs})
 		// Verdicts gathered before a deadline still count: Sat ones are
 		// findings, Unknown ones are weakened-coverage accounting.
 		for _, v := range verdicts {
@@ -172,11 +159,11 @@ func (o *Oracle) Inspect(ctx context.Context, out *Outcome) {
 	if o.PacketTests {
 		opts := o.TestOpts
 		opts.MaxConflicts = o.MaxConflicts
-		if cache != nil {
+		if o.Cache != nil {
 			// Test generation builds its symbolic pipeline in the same
 			// epoch context as validation, so the whole call's terms
 			// retire together.
-			opts.SMT = cache.Context()
+			opts.SMT = o.Cache.Context()
 		}
 		input := out.Result.Snapshots[0].Prog
 		cases, cerr := testgen.GenerateContext(ctx, input, opts)
@@ -249,8 +236,8 @@ func (o *Oracle) ReplayMismatch(cand *ast.Program, c testgen.Case) (bool, error)
 		return false, out.Err
 	}
 	sctx := smt.DefaultContext()
-	if cache := o.cache(); cache != nil {
-		sctx = cache.Context()
+	if o.Cache != nil {
+		sctx = o.Cache.Context()
 	}
 	input := out.Result.Snapshots[0].Prog
 	pipe, err := sym.PipelineOfIn(sctx, input)

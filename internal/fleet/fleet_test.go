@@ -11,7 +11,7 @@ import (
 	"gauntlet/internal/core"
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/obs"
-	"gauntlet/internal/validate"
+	"gauntlet/internal/smt"
 )
 
 // testRun is the defect-seeded fleet campaign configuration the tests
@@ -36,7 +36,7 @@ func testRun() RunConfig {
 // found a miscompilation.
 func directRun(t *testing.T, run RunConfig, seeds int64) ([]core.Finding, *corpus.Corpus) {
 	t.Helper()
-	cfg, crp, err := engineConfigForLease(&run, Lease{ID: 0, Start: 0, Count: seeds}, validate.NewCache())
+	cfg, crp, err := engineConfigForLease(&run, Lease{ID: 0, Start: 0, Count: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,6 +119,29 @@ func TestFleetObs(t *testing.T) {
 	}
 	if err := coord.Health(); err != nil {
 		t.Errorf("completed coordinator reports unhealthy: %v", err)
+	}
+}
+
+// TestFleetWorkerKeepsDefaultContextClean: a worker's memory is bounded
+// by its lease. Each lease's engine builds its terms in a context of its
+// own, which dies with the lease, so a worker that runs many leases
+// leaves nothing behind in the immortal default context.
+func TestFleetWorkerKeepsDefaultContextClean(t *testing.T) {
+	run := testRun()
+	run.Reduce = false
+	coord, err := NewCoordinator(CoordinatorConfig{Run: run, Seeds: 128, LeaseSlots: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := smt.InternerStats().Entries
+	if err := RunLocal(context.Background(), coord, localWorkers(1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Status(); st.LeasesReleased != 4 || st.Totals.Miscompilations == 0 {
+		t.Fatalf("status = %+v, want 4 leases released and a miscompilation", st)
+	}
+	if after := smt.InternerStats().Entries; after != before {
+		t.Errorf("one worker over 4 leases interned %d terms into the immortal default context", after-before)
 	}
 }
 

@@ -31,6 +31,10 @@
 //     lease, so a fleet run reduces candidates a capped single process
 //     would have dropped.)
 //
+// A worker keeps no solver state between leases: each lease runs a fresh
+// engine whose smt context and validation cache die with it, so a
+// worker's memory is bounded by one lease.
+//
 // Worker loss, hang or kill -9 is handled by lease expiry and re-issue:
 // results are deterministic, so a lease completed twice yields identical
 // bytes and first-wins is safe, and the coordinator's write-ahead journal

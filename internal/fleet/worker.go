@@ -12,7 +12,6 @@ import (
 	"gauntlet/internal/corpus"
 	"gauntlet/internal/faultinject"
 	"gauntlet/internal/generator"
-	"gauntlet/internal/validate"
 )
 
 // ErrSevered is returned by RunWorker when an injected link fault closed
@@ -77,17 +76,18 @@ func (run RunConfig) EngineConfig() (core.EngineConfig, error) {
 
 // engineConfigForLease builds the lease-ranged engine configuration: the
 // existing engine, unchanged, over [lease.Start, lease.Start+lease.Count)
-// with a fresh delta-logging corpus and the worker-lifetime validation
-// cache. MutateRatio stays zero — fleet runs are pure-generation, which
-// is what makes a lease replayable without cross-lease corpus state.
-func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (core.EngineConfig, *corpus.Corpus, error) {
+// with a fresh delta-logging corpus. The engine brings its own context
+// and validation cache, one epoch that dies with it, so nothing a lease
+// builds outlives the lease. MutateRatio stays zero — fleet runs are
+// pure-generation, which is what makes a lease replayable without
+// cross-lease corpus state.
+func engineConfigForLease(run *RunConfig, lease Lease) (core.EngineConfig, *corpus.Corpus, error) {
 	cfg, err := run.EngineConfig()
 	if err != nil {
 		return cfg, nil, fmt.Errorf("fleet: %w", err)
 	}
 	cfg.StartSeed = lease.Start
 	cfg.Seeds = lease.Count
-	cfg.Cache = cache
 	c := corpus.New(0)
 	c.EnableDeltaLog()
 	cfg.Corpus = c
@@ -97,8 +97,8 @@ func engineConfigForLease(run *RunConfig, lease Lease, cache *validate.Cache) (c
 // runLease executes one lease with a fresh engine and packages the
 // result: the engine's report stream in its canonical order, the corpus
 // delta, and a stats digest.
-func runLease(ctx context.Context, run *RunConfig, lease Lease, cache *validate.Cache, name string) (*Result, error) {
-	cfg, crp, err := engineConfigForLease(run, lease, cache)
+func runLease(ctx context.Context, run *RunConfig, lease Lease, name string) (*Result, error) {
+	cfg, crp, err := engineConfigForLease(run, lease)
 	if err != nil {
 		return nil, err
 	}
@@ -130,10 +130,10 @@ func runLease(ctx context.Context, run *RunConfig, lease Lease, cache *validate.
 }
 
 // RunWorker speaks the worker side of the protocol over conn: hello,
-// config, then lease-run-result until the coordinator drains. The
-// validation cache is worker-lifetime and shared across leases —
-// verdicts are recomputed, never changed, by a cold cache, so sharing
-// affects cost only. Returns nil on a clean drain.
+// config, then lease-run-result until the coordinator drains. Each lease
+// runs a fresh engine with its own smt context and validation cache, and
+// the worker keeps no solver state between leases, so its memory is
+// bounded by one lease. Returns nil on a clean drain.
 func RunWorker(ctx context.Context, conn io.ReadWriteCloser, wcfg WorkerConfig) error {
 	defer conn.Close()
 	if wcfg.Name == "" {
@@ -158,7 +158,6 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, wcfg WorkerConfig) 
 		return fmt.Errorf("fleet: expected config, got %q", env.Type)
 	}
 	run := env.Config
-	cache := validate.NewCache()
 	for {
 		if err := writeMsg(conn, &Envelope{Type: MsgNeed}); err != nil {
 			return err
@@ -177,7 +176,7 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, wcfg WorkerConfig) 
 			}
 			lease := *env.Lease
 			logf("fleet: %s running lease %d [%d, %d)", wcfg.Name, lease.ID, lease.Start, lease.Start+lease.Count)
-			res, err := runLease(ctx, run, lease, cache, wcfg.Name)
+			res, err := runLease(ctx, run, lease, wcfg.Name)
 			if err != nil {
 				return err
 			}

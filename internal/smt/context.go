@@ -18,8 +18,8 @@ package smt
 // a formula built from context-owned leaves lives entirely in that
 // context without threading a handle through every call site. The
 // package-level constructors and True/False remain as the *default
-// context* — tests, examples and campaign-scale runs that never rotate
-// keep working unchanged.
+// context* — for tests, examples and core.Campaign; an engine builds in
+// contexts of its own.
 //
 // Mixing rules: constant and variable leaves from another context are
 // transparently re-interned ("adopted") into the target context when

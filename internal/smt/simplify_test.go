@@ -2,32 +2,53 @@ package smt_test
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"gauntlet/internal/smt"
 )
 
-// simpRandBV builds a random 8-bit term exercising every operator the
+// termGen builds random terms over a, b, c (8 bits), n (4 bits) and p
+// (a bool), with their leaves in ctx and every choice drawn from r: a
+// *rand.Rand in the tests, the input bytes in FuzzSimplify.
+type termGen struct {
+	ctx *smt.Context
+	r   interface {
+		Intn(n int) int
+		Uint64() uint64
+	}
+}
+
+// simpRandBV builds a random 8-bit term in the default context.
+func simpRandBV(r *rand.Rand, depth int) *smt.Term { return termGen{smt.DefaultContext(), r}.bv(depth) }
+
+// simpRandBool builds a random boolean term in the default context.
+func simpRandBool(r *rand.Rand, depth int) *smt.Term {
+	return termGen{smt.DefaultContext(), r}.bool(depth)
+}
+
+// bv builds a random 8-bit term exercising every operator the
 // simplifier has rules for (wider than the interner test's pool: shifts,
 // zext/concat/extract plumbing, ite chains).
-func simpRandBV(r *rand.Rand, depth int) *smt.Term {
+func (g termGen) bv(depth int) *smt.Term {
+	r := g.r
 	if depth == 0 {
 		switch r.Intn(5) {
 		case 0:
-			return smt.Var("a", 8)
+			return g.ctx.Var("a", 8)
 		case 1:
-			return smt.Var("b", 8)
+			return g.ctx.Var("b", 8)
 		case 2:
-			return smt.Var("c", 8)
+			return g.ctx.Var("c", 8)
 		case 3:
-			return smt.Const(r.Uint64()&0xFF, 8)
+			return g.ctx.Const(r.Uint64()&0xFF, 8)
 		default:
-			return smt.ZExt(smt.Var("n", 4), 8)
+			return smt.ZExt(g.ctx.Var("n", 4), 8)
 		}
 	}
-	x := simpRandBV(r, depth-1)
-	y := simpRandBV(r, depth-1)
+	x := g.bv(depth - 1)
+	y := g.bv(depth - 1)
 	switch r.Intn(14) {
 	case 0:
 		return smt.Add(x, y)
@@ -50,45 +71,46 @@ func simpRandBV(r *rand.Rand, depth int) *smt.Term {
 	case 9:
 		return smt.Lshr(x, y)
 	case 10:
-		return smt.Shl(x, smt.Const(r.Uint64()%12, 8))
+		return smt.Shl(x, g.ctx.Const(r.Uint64()%12, 8))
 	case 11:
 		return smt.Concat(smt.Extract(x, 5, 0), smt.Extract(y, 7, 6))
 	case 12:
 		return smt.Extract(smt.Concat(x, y), 11, 4)
 	default:
-		return smt.Ite(simpRandBool(r, 1), x, y)
+		return smt.Ite(g.bool(1), x, y)
 	}
 }
 
-// simpRandBool builds a random boolean term.
-func simpRandBool(r *rand.Rand, depth int) *smt.Term {
+// bool builds a random boolean term.
+func (g termGen) bool(depth int) *smt.Term {
+	r := g.r
 	if depth == 0 || r.Intn(4) == 0 {
 		switch r.Intn(4) {
 		case 0:
-			return smt.Eq(simpRandBV(r, 1), simpRandBV(r, 1))
+			return smt.Eq(g.bv(1), g.bv(1))
 		case 1:
-			return smt.Ult(simpRandBV(r, 1), simpRandBV(r, 1))
+			return smt.Ult(g.bv(1), g.bv(1))
 		case 2:
-			return smt.Ule(simpRandBV(r, 1), simpRandBV(r, 1))
+			return smt.Ule(g.bv(1), g.bv(1))
 		default:
-			return smt.BoolVar("p")
+			return g.ctx.BoolVar("p")
 		}
 	}
 	switch r.Intn(5) {
 	case 0:
-		return smt.And(simpRandBool(r, depth-1), simpRandBool(r, depth-1))
+		return smt.And(g.bool(depth-1), g.bool(depth-1))
 	case 1:
-		return smt.Or(simpRandBool(r, depth-1), simpRandBool(r, depth-1))
+		return smt.Or(g.bool(depth-1), g.bool(depth-1))
 	case 2:
-		return smt.Not(simpRandBool(r, depth-1))
+		return smt.Not(g.bool(depth - 1))
 	case 3:
-		return smt.Ite(simpRandBool(r, depth-1), simpRandBool(r, depth-1), simpRandBool(r, depth-1))
+		return smt.Ite(g.bool(depth-1), g.bool(depth-1), g.bool(depth-1))
 	default:
-		return smt.Eq(simpRandBool(r, depth-1), simpRandBool(r, depth-1))
+		return smt.Eq(g.bool(depth-1), g.bool(depth-1))
 	}
 }
 
-func simpRandAssignment(r *rand.Rand) smt.Assignment {
+func simpRandAssignment(r interface{ Uint64() uint64 }) smt.Assignment {
 	return smt.Assignment{
 		"a": r.Uint64() & 0xFF,
 		"b": r.Uint64() & 0xFF,
@@ -98,16 +120,18 @@ func simpRandAssignment(r *rand.Rand) smt.Assignment {
 	}
 }
 
+// simpCorners are the all-zero and all-ones assignments.
+var simpCorners = []smt.Assignment{
+	{},
+	{"a": 0xFF, "b": 0xFF, "c": 0xFF, "n": 0xF, "p": 1},
+}
+
 // TestSimplifyDifferentialEval is the soundness fuzz: Simplify must be
 // model-preserving, so the original and simplified term evaluate
 // identically under every assignment (sampled randomly, plus the all-zero
 // and all-ones corners).
 func TestSimplifyDifferentialEval(t *testing.T) {
 	r := rand.New(rand.NewSource(2026))
-	corners := []smt.Assignment{
-		{},
-		{"a": 0xFF, "b": 0xFF, "c": 0xFF, "n": 0xF, "p": 1},
-	}
 	for i := 0; i < 500; i++ {
 		var term *smt.Term
 		if i%2 == 0 {
@@ -126,13 +150,57 @@ func TestSimplifyDifferentialEval(t *testing.T) {
 					i, a, term, want, s, got)
 			}
 		}
-		for _, a := range corners {
+		for _, a := range simpCorners {
 			check(a)
 		}
 		for j := 0; j < 32; j++ {
 			check(simpRandAssignment(r))
 		}
 	}
+}
+
+// fuzzBytes feeds a termGen from fuzz input: each choice takes one
+// byte, and an exhausted input answers 0, which ends every branch in a
+// leaf.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) Intn(n int) int { return int(b.Uint64() % uint64(n)) }
+
+func (b *fuzzBytes) Uint64() uint64 {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return uint64(v)
+}
+
+// FuzzSimplify is TestSimplifyDifferentialEval over fuzz input: the bytes
+// decode to an assignment and then a term over the same variables, and
+// the simplified term must keep the sort and evaluate like the original
+// under the corner assignments and the decoded one. Each input builds in
+// a context of its own, so a long run does not grow the default interner.
+func FuzzSimplify(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := fuzzBytes(data)
+		g := termGen{smt.NewContext(), &src}
+		decoded := simpRandAssignment(&src)
+		var term *smt.Term
+		if src.Intn(2) == 0 {
+			term = g.bool(4)
+		} else {
+			term = g.bv(4)
+		}
+		s := smt.Simplify(term)
+		if s.W != term.W {
+			t.Fatalf("Simplify changed sort: %s (w=%d) → %s (w=%d)", term, term.W, s, s.W)
+		}
+		for _, a := range append(slices.Clone(simpCorners), decoded) {
+			if got, want := smt.Eval(s, a), smt.Eval(term, a); got != want {
+				t.Fatalf("Simplify changed semantics under %v:\n  raw  %s = %d\n  simp %s = %d", a, term, want, s, got)
+			}
+		}
+	})
 }
 
 // TestSimplifyIdempotent: a simplified term is a fixpoint — simplifying

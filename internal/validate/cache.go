@@ -35,8 +35,8 @@ import (
 // forms over that context's terms and verdicts key on that context's
 // term IDs, so cache and context form one unit of lifetime. A rotating
 // service (the engine's epochs) retires both together — allocate a
-// fresh context, wrap it in a fresh cache, swap, and the old pair is
-// reclaimed wholesale once in-flight queries drain. There is no partial
+// fresh context, wrap it in the old cache's Next, swap, and the old pair
+// is reclaimed wholesale once in-flight queries drain. There is no partial
 // invalidation: formulas referencing retired terms must never outlive
 // their context.
 type Cache struct {
@@ -45,17 +45,13 @@ type Cache struct {
 	blocks   map[uint64]*sym.Block
 	verdicts map[uint64]verdictEntry
 	tapes    map[uint64]*smt.Tape
-	counters *CacheCounters
+	counters *cacheCounters
 }
 
-// CacheCounters is the cache's hit/miss accounting, detachable from the
-// cache itself: the counters are a few atomics, while the cache proper
-// holds the block/verdict maps. A rotating engine keeps each retired
-// epoch's *CacheCounters (so cumulative stats keep counting, including
-// increments from oracle calls still in flight on the retired pair)
-// while dropping the cache — the maps, the heavy part, still get
-// reclaimed.
-type CacheCounters struct {
+// cacheCounters is the cache's hit/miss accounting. Caches made by Next
+// share their predecessor's block, so the counters of a chain of
+// caches are cumulative over the chain.
+type cacheCounters struct {
 	blockHits, blockMisses     atomic.Uint64
 	verdictHits, verdictMisses atomic.Uint64
 	simpResolved               atomic.Uint64
@@ -65,20 +61,6 @@ type CacheCounters struct {
 	concolicPackets   atomic.Uint64
 	replayHits        atomic.Uint64
 	solverFallbacks   atomic.Uint64
-}
-
-// Snapshot reads the counters.
-func (cc *CacheCounters) Snapshot() CacheStats {
-	return CacheStats{
-		BlockHits: cc.blockHits.Load(), BlockMisses: cc.blockMisses.Load(),
-		VerdictHits: cc.verdictHits.Load(), VerdictMisses: cc.verdictMisses.Load(),
-		SimpResolved:      cc.simpResolved.Load(),
-		TapesCompiled:     cc.tapesCompiled.Load(),
-		ConcolicFalsified: cc.concolicFalsified.Load(),
-		ConcolicPackets:   cc.concolicPackets.Load(),
-		ReplayHits:        cc.replayHits.Load(),
-		SolverFallbacks:   cc.solverFallbacks.Load(),
-	}
 }
 
 type verdictEntry struct {
@@ -94,22 +76,26 @@ func NewCache() *Cache { return NewCacheIn(smt.DefaultContext()) }
 // NewCacheIn creates an empty validation cache bound to the given smt
 // context: every block formula it computes is built there, and verdicts
 // key on that context's canonical term IDs.
-func NewCacheIn(sctx *smt.Context) *Cache {
+func NewCacheIn(sctx *smt.Context) *Cache { return newCache(sctx, &cacheCounters{}) }
+
+// Next returns an empty cache bound to sctx that counts into c's
+// counters: a rotating engine retires c with its context and keeps
+// cumulative counts, increments from calls still in flight on c
+// included, without keeping c's maps alive.
+func (c *Cache) Next(sctx *smt.Context) *Cache { return newCache(sctx, c.counters) }
+
+func newCache(sctx *smt.Context, cc *cacheCounters) *Cache {
 	return &Cache{
 		ctx:      sctx,
 		blocks:   map[uint64]*sym.Block{},
 		verdicts: map[uint64]verdictEntry{},
 		tapes:    map[uint64]*smt.Tape{},
-		counters: &CacheCounters{},
+		counters: cc,
 	}
 }
 
 // Context returns the smt context the cache is bound to.
 func (c *Cache) Context() *smt.Context { return c.ctx }
-
-// Counters returns the cache's detachable counter block (see
-// CacheCounters).
-func (c *Cache) Counters() *CacheCounters { return c.counters }
 
 // Stats reports hit/miss counters: block-formula cache first, then
 // verdict cache. Snapshot carries these plus the simplification counter.
@@ -151,22 +137,34 @@ type CacheStats struct {
 }
 
 // Snapshot returns all cache counters at once (the engine's Stats path).
-func (c *Cache) Snapshot() CacheStats { return c.counters.Snapshot() }
+// For a cache made by Next they are cumulative over its predecessors.
+func (c *Cache) Snapshot() CacheStats {
+	cc := c.counters
+	return CacheStats{
+		BlockHits: cc.blockHits.Load(), BlockMisses: cc.blockMisses.Load(),
+		VerdictHits: cc.verdictHits.Load(), VerdictMisses: cc.verdictMisses.Load(),
+		SimpResolved:      cc.simpResolved.Load(),
+		TapesCompiled:     cc.tapesCompiled.Load(),
+		ConcolicFalsified: cc.concolicFalsified.Load(),
+		ConcolicPackets:   cc.concolicPackets.Load(),
+		ReplayHits:        cc.replayHits.Load(),
+		SolverFallbacks:   cc.solverFallbacks.Load(),
+	}
+}
 
-// Add accumulates another snapshot into s, field by field — the single
-// place cumulative-across-epochs totals are folded, so a future counter
-// cannot be summed in one consumer and dropped in another.
-func (s *CacheStats) Add(o CacheStats) {
-	s.BlockHits += o.BlockHits
-	s.BlockMisses += o.BlockMisses
-	s.VerdictHits += o.VerdictHits
-	s.VerdictMisses += o.VerdictMisses
-	s.SimpResolved += o.SimpResolved
-	s.TapesCompiled += o.TapesCompiled
-	s.ConcolicFalsified += o.ConcolicFalsified
-	s.ConcolicPackets += o.ConcolicPackets
-	s.ReplayHits += o.ReplayHits
-	s.SolverFallbacks += o.SolverFallbacks
+// Sub returns s minus base, field by field: what was counted since base
+// was taken (an engine epoch's share of the cumulative counters).
+func (s CacheStats) Sub(base CacheStats) CacheStats {
+	return CacheStats{
+		BlockHits: s.BlockHits - base.BlockHits, BlockMisses: s.BlockMisses - base.BlockMisses,
+		VerdictHits: s.VerdictHits - base.VerdictHits, VerdictMisses: s.VerdictMisses - base.VerdictMisses,
+		SimpResolved:      s.SimpResolved - base.SimpResolved,
+		TapesCompiled:     s.TapesCompiled - base.TapesCompiled,
+		ConcolicFalsified: s.ConcolicFalsified - base.ConcolicFalsified,
+		ConcolicPackets:   s.ConcolicPackets - base.ConcolicPackets,
+		ReplayHits:        s.ReplayHits - base.ReplayHits,
+		SolverFallbacks:   s.SolverFallbacks - base.SolverFallbacks,
+	}
 }
 
 // contextKey hashes every top-level declaration a block's formula can
@@ -311,7 +309,7 @@ func (c *Cache) equivalent(ctx context.Context, a, b *sym.Block, opts Options) (
 				return false, tp.Restrict(h), solver.Sat
 			}
 		}
-		rounds = con.rounds()
+		rounds = DefaultConcolicRounds
 	}
 	equal, cex, st, cr := solver.EquivalentConcolic(ctx, maxConflicts, eq, tp, con.Seed, rounds)
 	c.counters.concolicPackets.Add(cr.Packets)

@@ -106,9 +106,6 @@ type Concolic struct {
 	// the solver (the PR 3 behavior). Used by the differential tests that
 	// prove finding-set invariance, and available for bisection.
 	Disable bool
-	// Rounds is the number of 64-packet batches per query (0 =
-	// DefaultConcolicRounds).
-	Rounds int
 	// Seed perturbs the deterministic input derivation. Campaigns keep it
 	// fixed so every worker derives identical batches for a given miter.
 	Seed uint64
@@ -117,13 +114,6 @@ type Concolic struct {
 	// witness and most reduction candidates still fail on it. A hint hit
 	// answers the query without batches and without the solver.
 	Hints []smt.Assignment
-}
-
-func (c Concolic) rounds() int {
-	if c.Rounds <= 0 {
-		return DefaultConcolicRounds
-	}
-	return c.Rounds
 }
 
 func (o Options) cache() *Cache {

@@ -4,7 +4,8 @@
 #
 #   1. Single-process baseline: a bounded, defect-seeded, pure-generation
 #      fuzz run. Its finding stream is the reference the fleet must
-#      reproduce byte-for-byte.
+#      reproduce byte-for-byte, and it must hold miscompilations, so the
+#      comparison covers oracle findings and not only crashes.
 #   2. Fleet campaign over a unix socket: coordinator with durable state
 #      plus two external worker processes. SIGKILL one worker mid-lease —
 #      the coordinator must notice the loss, return its leases to pending
@@ -41,10 +42,14 @@ fetch() {
   if command -v curl >/dev/null 2>&1; then curl -sf "$1"; else wget -qO- "$1"; fi
 }
 
-SEEDS=2048
+# The budget stays below the per-pass reduction cap (MaxReducePerPass,
+# 64 candidates per failing pass): fleet leases apply the cap per lease,
+# so a baseline that hits it reduces fewer candidates than the fleet.
+# At seed 11 these defects give 47 miscompilations in 512 slots.
+SEEDS=512
 SLOTS=64
 SEED=11
-DEFECTS="P4C-C-04,P4C-C-13,P4C-S-02"
+DEFECTS="P4C-C-17,P4C-C-13,P4C-S-02"
 
 echo "--- phase 1: single-process baseline ($SEEDS seeds, defect-seeded)"
 "$bin" -mode fuzz -seeds "$SEEDS" -seed "$SEED" -mutate-ratio 0 \
@@ -55,7 +60,13 @@ if [ "${base_count:-0}" -eq 0 ]; then
   cat "$dir/base.err"
   exit 1
 fi
-echo "phase 1 ok: $base_count baseline findings"
+base_mis=$(grep -c '"kind":"miscompilation"' "$dir/base.jsonl" || true)
+if [ "${base_mis:-0}" -eq 0 ]; then
+  echo "FAIL: baseline run produced no miscompilation (the semantic defect must reach the oracle)"
+  cat "$dir/base.err"
+  exit 1
+fi
+echo "phase 1 ok: $base_count baseline findings, $base_mis miscompilations"
 
 echo "--- phase 2: fleet over a unix socket, SIGKILL a worker, then the coordinator"
 sock="$dir/fleet.sock"
