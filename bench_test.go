@@ -16,7 +16,6 @@ import (
 	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
 	"gauntlet/internal/generator"
-	"gauntlet/internal/p4/eval"
 	"gauntlet/internal/p4/parser"
 	"gauntlet/internal/p4/printer"
 	"gauntlet/internal/p4/types"
@@ -24,7 +23,6 @@ import (
 	"gauntlet/internal/smt/solver"
 	"gauntlet/internal/sym"
 	"gauntlet/internal/target/device"
-	"gauntlet/internal/target/tofino"
 	"gauntlet/internal/testgen"
 	"gauntlet/internal/validate"
 )
@@ -347,12 +345,15 @@ func BenchmarkAblation_ModelPreferences(b *testing.B) {
 	if err := types.Check(prog); err != nil {
 		b.Fatal(err)
 	}
-	pl := bugs.Instrument(append(compiler.DefaultPasses(), tofino.BackendPasses()...), []*bugs.Bug{bug})
+	pl, err := core.Pipeline(bug.Platform, bug)
+	if err != nil {
+		b.Fatal(err)
+	}
 	res, err := compiler.New(pl...).Compile(prog)
 	if err != nil {
 		b.Fatal(err)
 	}
-	dev := device.New(res.Final, eval.ZeroUndef)
+	dev := device.New(res.Final)
 
 	run := func(disable bool) int {
 		opts := testgen.DefaultOptions()
@@ -361,18 +362,11 @@ func BenchmarkAblation_ModelPreferences(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mismatches := 0
-		for _, c := range cases {
-			obs, err := dev.Inject(c.Config, c.Packet)
-			if err != nil {
-				b.Fatal(err)
-			}
-			want := device.Result{Drop: c.ExpectDrop, Packet: c.ExpectPacket}
-			if !device.Equal(want, obs) {
-				mismatches++
-			}
+		mismatches, _, err := dev.Run(cases)
+		if err != nil {
+			b.Fatal(err)
 		}
-		return mismatches
+		return len(mismatches)
 	}
 	for i := 0; i < b.N; i++ {
 		with := run(false)

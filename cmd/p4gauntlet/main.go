@@ -179,7 +179,7 @@ func parseFlags(args []string) (mode string, ff fuzzFlags, fl fleetFlags, err er
 	fs.StringVar(&fl.connect, "connect", "", "worker mode: dial the coordinator at ADDR (retrying while it boots)")
 	fs.IntVar(&fl.forkWorkers, "fleet", 0, "coordinator mode: fork N local worker processes of this binary against -listen (0 = external workers only)")
 	fs.Int64Var(&fl.leaseSlots, "lease-slots", 0, "coordinator mode: seeds per work lease; must be a multiple of the engine sync interval (0 = 4 sync intervals)")
-	fs.DurationVar(&fl.leaseTimeout, "lease-timeout", 0, "coordinator mode: re-issue a lease not completed within D — set above a lease's worst-case wall clock (0 = 2m)")
+	fs.DurationVar(&fl.leaseTimeout, "lease-timeout", 0, "coordinator mode: re-issue a lease not completed within D — set above a lease's worst-case wall clock (0 = 2m); /healthz reports a stall after 5/2 D without a lease release")
 	fs.StringVar(&fl.workerName, "worker-name", "", "worker mode: name for logs and per-worker metrics (default worker-PID)")
 	fs.StringVar(&ff.defects, "defects", "", "comma-separated bug registry IDs to instrument into the backend's reference pipeline (fuzz/serve/coordinator mode; the CI smoke harness's known-defect seeding)")
 	if err := fs.Parse(args); err != nil {

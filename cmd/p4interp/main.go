@@ -1,6 +1,7 @@
-// Command p4interp runs a P4 program's pipeline on a packet through the
-// BMv2 software-switch simulator, or generates and runs symbolic test
-// packets for it (§6).
+// Command p4interp compiles a P4 program with the BMv2 reference pipeline
+// (core.Pipeline) and runs a packet through the compiled program on the
+// software-switch simulator, or generates symbolic test packets for it
+// and runs them with the packet-test loop the oracle uses (§6).
 //
 // Usage:
 //
@@ -12,80 +13,93 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"gauntlet/internal/bugs"
+	"gauntlet/internal/compiler"
+	"gauntlet/internal/core"
 	"gauntlet/internal/p4/parser"
 	"gauntlet/internal/p4/types"
-	"gauntlet/internal/target/bmv2"
+	"gauntlet/internal/target/device"
 	"gauntlet/internal/testgen"
 )
 
-func main() {
-	pktHex := flag.String("pkt", "", "input packet as hex bytes")
-	gen := flag.Bool("gen", false, "generate symbolic test cases and run them")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: p4interp [-pkt HEX | -gen] program.p4")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("p4interp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	pktHex := fs.String("pkt", "", "input packet as hex bytes")
+	gen := fs.Bool("gen", false, "generate symbolic test cases and run them")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: p4interp [-pkt HEX | -gen] program.p4")
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "p4interp: %v\n", err)
+		return 1
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	prog, err := parser.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if err := types.Check(prog); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
-	target, err := bmv2.Compile(prog, nil)
+	passes, _ := core.Pipeline(bugs.BMv2) // without defects it cannot fail
+	res, err := compiler.New(passes...).Compile(prog)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
+	dev := device.New(res.Final)
 
 	switch {
 	case *gen:
 		cases, err := testgen.Generate(prog, testgen.DefaultOptions())
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		stf := &bmv2.STF{Target: target}
-		mismatches, err := stf.Run(cases)
+		mismatches, _, err := dev.Run(cases)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		for _, c := range cases {
-			fmt.Println("case:", c.Summary())
+			fmt.Fprintln(stdout, "case:", c.Summary())
 		}
 		if len(mismatches) > 0 {
 			for _, m := range mismatches {
-				fmt.Println("MISMATCH:", m)
+				fmt.Fprintln(stdout, "MISMATCH:", m)
 			}
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("%d test cases, all match the symbolic semantics\n", len(cases))
+		fmt.Fprintf(stdout, "%d test cases, all match the symbolic semantics\n", len(cases))
 	case *pktHex != "":
 		pkt, err := hex.DecodeString(*pktHex)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		res, err := target.Inject(nil, pkt)
+		obs, err := dev.Inject(nil, pkt)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
-		if res.Drop {
-			fmt.Println("packet dropped (parser reject)")
+		if obs.Drop {
+			fmt.Fprintln(stdout, "packet dropped (parser reject)")
 		} else {
-			fmt.Printf("output packet: %x\n", res.Packet)
+			fmt.Fprintf(stdout, "output packet: %x\n", obs.Packet)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "p4interp: need -pkt or -gen")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "p4interp: need -pkt or -gen")
+		return 2
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "p4interp: %v\n", err)
-	os.Exit(1)
+	return 0
 }

@@ -1,14 +1,21 @@
 // Command p4reduce automatically shrinks a P4 program while preserving a
-// compiler-observable property — the automation of the paper's manual
+// compiler-observable symptom — the automation of the paper's manual
 // reduction workflow (§8: "we prune the random P4 program that caused the
 // bug until we get a sufficiently small program").
 //
-// Properties:
+// It is a one-slot run of the fuzzing engine (core.Engine) whose only
+// program is the input: the engine's oracle finds the symptom and its
+// reducer shrinks the witness, so the reduction keeps exactly the symptom
+// the engine pins for that kind of finding:
 //
-//	-crash        the pipeline must keep crashing (with -bug, the
-//	              reference pipeline of the bug's platform, instrumented
-//	              with the seeded defect, is used)
-//	-miscompile   translation validation must keep failing (requires -bug)
+//	-crash        the same pass must keep crashing with the same message
+//	-miscompile   translation validation must keep failing in the same
+//	              pass (requires -bug)
+//
+// With -bug, the pipeline is the reference pipeline of the bug's platform
+// instrumented with the seeded defect; without it, the BMv2 reference
+// pipeline. The input must show the symptom itself: a program that does
+// not, or that shows a finding of the other kind, is refused.
 //
 // Usage:
 //
@@ -17,86 +24,91 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"gauntlet/internal/bugs"
-	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
 	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/parser"
-	"gauntlet/internal/p4/printer"
 	"gauntlet/internal/p4/types"
 	"gauntlet/internal/reduce"
-	"gauntlet/internal/validate"
 )
 
-func main() {
-	bugID := flag.String("bug", "", "seeded bug ID whose instrumented pipeline to use")
-	crash := flag.Bool("crash", false, "preserve: the compiler crashes")
-	miscompile := flag.Bool("miscompile", false, "preserve: translation validation fails")
-	maxConflicts := flag.Int("max-conflicts", 50000, "solver conflict budget")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if flag.NArg() != 1 || (!*crash && !*miscompile) {
-		fmt.Fprintln(os.Stderr, "usage: p4reduce -bug ID (-crash|-miscompile) program.p4")
-		os.Exit(2)
+// run is the command with its arguments and output streams; it returns
+// the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("p4reduce", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	bugID := fs.String("bug", "", "seeded bug ID whose instrumented pipeline to use")
+	crash := fs.Bool("crash", false, "preserve: the compiler crashes")
+	miscompile := fs.Bool("miscompile", false, "preserve: translation validation fails")
+	maxConflicts := fs.Int("max-conflicts", 50000, "solver conflict budget")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+
+	if fs.NArg() != 1 || (!*crash && !*miscompile) {
+		fmt.Fprintln(stderr, "usage: p4reduce -bug ID (-crash|-miscompile) program.p4")
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintf(stderr, "p4reduce: %v\n", err)
+		return 1
+	}
+	src, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	prog, err := parser.Parse(string(src))
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if err := types.Check(prog); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 
-	passes := compiler.DefaultPasses()
+	// The BMv2 reference pipeline, or the bug's platform's with the bug
+	// in it.
+	platform, defects := bugs.BMv2, []*bugs.Bug(nil)
 	if *bugID != "" {
 		bug := bugs.Load().ByID(*bugID)
 		if bug == nil {
-			fatal(fmt.Errorf("unknown bug %q", *bugID))
+			return fatal(fmt.Errorf("unknown bug %q", *bugID))
 		}
-		// The reference pipeline of the bug's platform, with the bug in it.
-		if passes, err = core.Pipeline(bug.Platform, bug); err != nil {
-			fatal(err)
-		}
+		platform, defects = bug.Platform, []*bugs.Bug{bug}
+	}
+	passes, err := core.Pipeline(platform, defects...)
+	if err != nil {
+		return fatal(err)
 	}
 
-	var keep reduce.Predicate
-	switch {
-	case *crash:
-		keep = func(p *ast.Program) bool {
-			_, cerr := compiler.New(passes...).Compile(p)
-			var ce *compiler.CrashError
-			return errors.As(cerr, &ce)
-		}
-	case *miscompile:
-		keep = func(p *ast.Program) bool {
-			res, cerr := compiler.New(passes...).Compile(p)
-			if cerr != nil {
-				return false
-			}
-			verdicts, verr := validate.Snapshots(res, validate.Options{MaxConflicts: *maxConflicts})
-			return verr == nil && len(validate.Failures(verdicts)) > 0
-		}
+	want := core.FindingMiscompilation
+	if *crash {
+		want = core.FindingCrash
 	}
-
-	if !keep(prog) {
-		fatal(errors.New("the property does not hold on the input program"))
+	findings := core.NewEngine(core.EngineConfig{
+		Seeds:        1,
+		Generate:     func(int64) *ast.Program { return prog },
+		Passes:       passes,
+		MaxConflicts: *maxConflicts,
+		// A crash needs only the compile step; a miscompilation only
+		// translation validation.
+		BlackBox:   *crash,
+		Reduce:     true,
+		ReduceOpts: reduce.Options{MaxRounds: 8},
+	}).Run(context.Background())
+	if len(findings) != 1 || findings[0].Kind != want {
+		return fatal(errors.New("the property does not hold on the input program"))
 	}
-	before := reduce.Size(prog)
-	small := reduce.Reduce(prog, keep, reduce.Options{})
-	fmt.Fprintf(os.Stderr, "reduced %d -> %d statements\n", before, reduce.Size(small))
-	fmt.Println(printer.Print(small))
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "p4reduce: %v\n", err)
-	os.Exit(1)
+	f := findings[0]
+	fmt.Fprintf(stderr, "reduced %d -> %d statements\n", f.SizeBefore, f.SizeAfter)
+	fmt.Fprintln(stdout, f.Source)
+	return 0
 }

@@ -25,8 +25,14 @@
 //     translation validation (§5) and symbolic-execution packet tests
 //     (§6). Campaign.Hunt (the Table 2 evaluation), Campaign.HuntClean
 //     (the no-false-alarm baseline) and the engine all call this one
-//     implementation — there is no second copy of the
-//     compile/validate/testgen logic.
+//     implementation, and read its Outcome through one classifier that
+//     names a finding's kind, pass and Detail. The command-line tools
+//     reach it the same way: p4reduce is a one-slot engine run, so it
+//     pins the engine's symptom and uses its reducer; p4test and
+//     p4interp compile with core.Pipeline's reference pipeline; and
+//     p4interp, the oracle and the test generator's tests inject test
+//     packets through one loop, device.Run. There is no second copy of
+//     the compile/validate/testgen/packet-test logic.
 //   - core.Engine is the streaming, stage-parallel fuzz pipeline:
 //     generate → compile → oracle → fingerprint/dedup → auto-reduce →
 //     report, connected by bounded channels with a worker pool per heavy

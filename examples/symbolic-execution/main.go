@@ -13,11 +13,10 @@ import (
 
 	"gauntlet/internal/bugs"
 	"gauntlet/internal/compiler"
-	"gauntlet/internal/p4/eval"
+	"gauntlet/internal/core"
 	"gauntlet/internal/p4/parser"
 	"gauntlet/internal/p4/types"
 	"gauntlet/internal/target/device"
-	"gauntlet/internal/target/tofino"
 	"gauntlet/internal/testgen"
 )
 
@@ -71,16 +70,18 @@ func main() {
 	// saturating adds lowered as wrapping adds.
 	bug := bugs.Load().ByID("TOF-S-03")
 	fmt.Printf("\nseeded back-end defect: %s — %s\n", bug.ID, bug.Description)
-	pipeline := bugs.Instrument(
-		append(compiler.DefaultPasses(), tofino.BackendPasses()...),
-		[]*bugs.Bug{bug})
+	pipeline, err := core.Pipeline(bug.Platform, bug)
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := compiler.New(pipeline...).Compile(prog)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev := device.New(res.Final, eval.ZeroUndef)
+	dev := device.New(res.Final)
 
 	// PTF-style run: inject, compare against the symbolic expectation.
+	// This is the loop device.Run implements for the oracle, spelled out.
 	found := 0
 	for _, c := range cases {
 		obs, err := dev.Inject(c.Config, c.Packet)

@@ -235,8 +235,8 @@ func TestPipelineConcreteDifferential(t *testing.T) {
 			for trial := 0; trial < 30; trial++ {
 				argsA := randomArgs(ctrlA.Params, r)
 				argsB := cloneArgs(argsA)
-				inA := eval.New(first, eval.ZeroUndef, nil)
-				inB := eval.New(last, eval.ZeroUndef, nil)
+				inA := eval.New(first, nil)
+				inB := eval.New(last, nil)
 				if err := inA.ExecControl(ctrlA, argsA); err != nil {
 					t.Fatalf("eval A: %v", err)
 				}
@@ -269,14 +269,14 @@ func randomValue(t ast.Type, r *rand.Rand) eval.Value {
 	case *ast.BoolType:
 		return &eval.BoolVal{V: r.Intn(2) == 1}
 	case *ast.HeaderType:
-		h := eval.NewValue(t, eval.ZeroUndef).(*eval.HeaderVal)
+		h := eval.NewValue(t).(*eval.HeaderVal)
 		h.Valid = r.Intn(2) == 1
 		for _, f := range t.Fields {
 			h.F[f.Name] = randomValue(f.Type, r)
 		}
 		return h
 	case *ast.StructType:
-		s := eval.NewValue(t, eval.ZeroUndef).(*eval.StructVal)
+		s := eval.NewValue(t).(*eval.StructVal)
 		for _, f := range t.Fields {
 			s.F[f.Name] = randomValue(f.Type, r)
 		}

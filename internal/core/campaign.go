@@ -73,30 +73,22 @@ type Campaign struct {
 	// SkipWitness hunts with random programs only — the paper's actual
 	// discovery mode, where nobody hands the fuzzer a reproducer.
 	SkipWitness bool
-	// MaxConflicts bounds every solver call.
-	MaxConflicts int
-	// TestOpts configures symbolic-execution test generation.
-	TestOpts testgen.Options
-	// Workers bounds RunAll's parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Cache memoizes block formulas and equivalence verdicts across all
+
+	// cache memoizes block formulas and equivalence verdicts across all
 	// hunts (and across RunAll's worker pool — it is safe for concurrent
 	// use). Many bugs share witnesses and pipelines, so the reuse rate
 	// is high; terms are hash-consed process-wide, which is what makes
-	// the sharing sound.
-	Cache *validate.Cache
+	// the sharing sound. Nil means no cross-hunt reuse.
+	cache *validate.Cache
 }
+
+// campaignMaxConflicts bounds every solver call of a campaign's hunts.
+const campaignMaxConflicts = 50000
 
 // NewCampaign builds a campaign over the full registry with paper-scale
 // settings.
 func NewCampaign() *Campaign {
-	return &Campaign{
-		Registry:     bugs.Load(),
-		RandomSeeds:  0,
-		MaxConflicts: 50000,
-		TestOpts:     testgen.DefaultOptions(),
-		Cache:        validate.NewCache(),
-	}
+	return &Campaign{Registry: bugs.Load(), cache: validate.NewCache()}
 }
 
 // Pipeline returns platform p's reference pass pipeline, the P4C front
@@ -175,12 +167,7 @@ func (c *Campaign) OracleFor(b *bugs.Bug) (*Oracle, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &Oracle{
-		Passes:       passes,
-		MaxConflicts: c.MaxConflicts,
-		TestOpts:     c.TestOpts,
-		Cache:        c.Cache,
-	}
+	o := c.oracle(passes)
 	if b.Kind == bugs.Semantic {
 		switch b.Platform {
 		case bugs.P4C:
@@ -190,6 +177,16 @@ func (c *Campaign) OracleFor(b *bugs.Bug) (*Oracle, error) {
 		}
 	}
 	return o, nil
+}
+
+// oracle is the campaign's oracle over passes, with both checks off.
+func (c *Campaign) oracle(passes []compiler.Pass) *Oracle {
+	return &Oracle{
+		Passes:       passes,
+		MaxConflicts: campaignMaxConflicts,
+		TestOpts:     testgen.DefaultOptions(),
+		Cache:        c.cache,
+	}
 }
 
 // Hunt activates a single bug and applies the platform-appropriate
@@ -211,34 +208,23 @@ func (c *Campaign) HuntContext(ctx context.Context, b *bugs.Bug) (Detection, err
 	}
 	for _, np := range programs {
 		out := o.Examine(ctx, np.prog)
-		switch {
-		case out.Err != nil:
+		if out.Err != nil {
 			return det, fmt.Errorf("bug %s on %s: %w", b.ID, np.name, out.Err)
-		case out.Crash != nil:
-			det.Detected = true
-			det.Technique = CrashHunt
-			det.Via = np.name
-			det.Detail = fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg)
-			return det, nil
-		case out.Invalid != nil:
-			det.Detected = true
-			det.InvalidTransform = true
-			det.Via = np.name
-			det.Detail = out.Invalid.Error()
-			return det, nil
-		case len(out.Failures) > 0:
-			det.Detected = true
-			det.Technique = TranslationValidation
-			det.Via = np.name
-			det.Detail = out.Failures[0].String()
-			return det, nil
-		case len(out.Mismatches) > 0:
-			det.Detected = true
-			det.Technique = SymbolicExecution
-			det.Via = np.name
-			det.Detail = out.Mismatches[0]
-			return det, nil
 		}
+		f := classify(out)
+		if f == nil {
+			continue
+		}
+		det.Detected, det.Via, det.Detail = true, np.name, f.Detail
+		switch f.Kind {
+		case FindingInvalidTransform:
+			det.InvalidTransform = true
+		case FindingMiscompilation:
+			det.Technique = TranslationValidation
+		case FindingMismatch:
+			det.Technique = SymbolicExecution
+		}
+		return det, nil
 	}
 	return det, nil
 }
@@ -256,46 +242,35 @@ func (c *Campaign) HuntClean(b *bugs.Bug) (string, error) {
 		return "", fmt.Errorf("witness does not check: %w", err)
 	}
 	passes, _ := Pipeline(b.Platform) // without defects it cannot fail
-	o := &Oracle{
-		Passes:       passes,
-		MaxConflicts: c.MaxConflicts,
-		TestOpts:     c.TestOpts,
-		Cache:        c.Cache,
-		Validate:     true,
-		PacketTests:  true,
-	}
-	out := o.Compile(prog)
-	if out.Crash != nil || out.Invalid != nil || out.Err != nil {
-		cerr := out.Err
-		if out.Crash != nil {
-			cerr = out.Crash
-		} else if out.Invalid != nil {
-			cerr = out.Invalid
-		}
-		return fmt.Sprintf("clean compile failed: %v", cerr), nil
-	}
-	o.Inspect(context.Background(), &out)
-	if out.Err != nil {
+	o := c.oracle(passes)
+	o.Validate, o.PacketTests = true, true
+	out := o.Examine(context.Background(), prog)
+	f := classify(out)
+	switch {
+	case out.Result == nil && f == nil:
+		return fmt.Sprintf("clean compile failed: %v", out.Err), nil
+	case out.Err != nil:
 		return "", fmt.Errorf("oracle: %w", out.Err)
+	case f == nil:
+		return "", nil
 	}
-	if len(out.Failures) > 0 {
-		return "translation validation false alarm: " + out.Failures[0].String(), nil
-	}
-	if len(out.Mismatches) > 0 {
-		return "symbolic execution false alarm: " + out.Mismatches[0], nil
-	}
-	return "", nil
+	return falseAlarm[f.Kind] + f.Detail, nil
+}
+
+// falseAlarm prefixes HuntClean's description of a finding, by kind.
+var falseAlarm = [...]string{
+	FindingCrash:            "clean compile failed: ",
+	FindingInvalidTransform: "clean compile failed: ",
+	FindingMiscompilation:   "translation validation false alarm: ",
+	FindingMismatch:         "symbolic execution false alarm: ",
 }
 
 // RunAll hunts every bug in the registry (duplicates too: they re-detect
 // their original's behaviour) and returns detections keyed by bug ID.
 // Hunts are independent (each instruments its own pipeline over its own
-// program clones), so they run on a bounded worker pool.
+// program clones), so they run on a pool of GOMAXPROCS workers.
 func (c *Campaign) RunAll() (map[string]Detection, error) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	type item struct {
 		id  string
 		det Detection

@@ -577,7 +577,6 @@ type Engine struct {
 	endNano   atomic.Int64
 
 	generated, compiled, clean                 atomic.Uint64
-	crashes, invalids, miscompiles, mismatches atomic.Uint64
 	compileErrors, oracleErrors                atomic.Uint64
 	duplicates, unique                         atomic.Uint64
 	reduceCalls                                atomic.Uint64
@@ -587,6 +586,8 @@ type Engine struct {
 	unknownVerdicts, oracleRetries             atomic.Uint64
 	mismatchReplays                            atomic.Uint64
 	recordsDropped                             atomic.Uint64
+	// found counts raw (pre-dedup) findings by kind.
+	found [FindingMismatch + 1]atomic.Uint64
 
 	// lastFoldNano is the wall-clock time of the most recent round fold
 	// (or Run start) — the liveness signal behind Health: a wedged
@@ -895,10 +896,10 @@ func (e *Engine) Stats() Stats {
 		Generated:            e.generated.Load(),
 		Compiled:             e.compiled.Load(),
 		Clean:                e.clean.Load(),
-		Crashes:              e.crashes.Load(),
-		InvalidTransforms:    e.invalids.Load(),
-		Miscompilations:      e.miscompiles.Load(),
-		Mismatches:           e.mismatches.Load(),
+		Crashes:              e.found[FindingCrash].Load(),
+		InvalidTransforms:    e.found[FindingInvalidTransform].Load(),
+		Miscompilations:      e.found[FindingMiscompilation].Load(),
+		Mismatches:           e.found[FindingMismatch].Load(),
 		CompileErrors:        e.compileErrors.Load(),
 		OracleErrors:         e.oracleErrors.Load(),
 		Duplicates:           e.duplicates.Load(),
@@ -1381,22 +1382,15 @@ func (r *run) compile(w int) {
 			// error was injected before compilation produced one.
 			out.Err = err
 		}
+		f := classify(out)
 		rec := covRec{
 			slot: u.seed, prog: u.prog, prof: prof, astFP: astFP,
 			baseID:   u.baseID,
-			crashed:  out.Crash != nil || out.Invalid != nil,
-			toOracle: out.Err == nil && out.Crash == nil && out.Invalid == nil,
+			crashed:  f != nil,
+			toOracle: out.Err == nil && f == nil,
 		}
-		switch {
-		case out.Crash != nil:
-			e.crashes.Add(1)
-			rec.finding = r.candidate(u, FindingCrash, out.Crash.Pass,
-				fmt.Sprintf("crash in %s: %s", out.Crash.Pass, out.Crash.Msg))
-			rec.finding.crashMsg = out.Crash.Msg
-		case out.Invalid != nil:
-			e.invalids.Add(1)
-			rec.finding = r.candidate(u, FindingInvalidTransform, out.Invalid.Pass, out.Invalid.Error())
-			rec.finding.crashMsg = out.Invalid.Error()
+		if f != nil {
+			rec.finding = r.candidate(u, f)
 		}
 		if !send(r.ctx, r.covCh, rec) {
 			return
@@ -1404,7 +1398,7 @@ func (r *run) compile(w int) {
 		switch {
 		case out.Err != nil:
 			e.toolError(&e.compileErrors, u.seed, out.Err)
-		case out.Crash != nil, out.Invalid != nil:
+		case f != nil:
 			// The candidate travelled with the covRec above.
 		default:
 			e.compiled.Add(1)
@@ -1416,14 +1410,13 @@ func (r *run) compile(w int) {
 	}
 }
 
-// candidate builds unit u's finding of one kind, filled with the fields
-// every kind shares.
-func (r *run) candidate(u unit, kind FindingKind, pass, detail string) *Finding {
-	return &Finding{
-		Kind: kind, Seed: u.seed, Backend: r.e.cfg.Backend.String(),
-		Pass: pass, Detail: detail, Origin: originOf(u.mutated),
-		Program: u.prog, Provenance: u.prov,
-	}
+// candidate completes classified finding f as unit u's candidate: it
+// counts f by kind and fills in the fields every kind shares.
+func (r *run) candidate(u unit, f *Finding) *Finding {
+	r.e.found[f.Kind].Add(1)
+	f.Seed, f.Backend, f.Origin = u.seed, r.e.cfg.Backend.String(), originOf(u.mutated)
+	f.Program, f.Provenance = u.prog, u.prov
+	return f
 }
 
 // inspect is the oracle stage: translation validation and packet tests.
@@ -1493,19 +1486,21 @@ func (r *run) inspect(w int) {
 				return
 			}
 			e.toolError(&e.oracleErrors, u.seed, out.Err)
-		case len(out.Failures) > 0:
-			e.miscompiles.Add(1)
-			cand = r.candidate(u, FindingMiscompilation, out.Failures[0].PassB, out.Failures[0].String())
-			cand.cex = out.Failures[0].Counterexample
-		case len(out.Mismatches) > 0:
-			e.mismatches.Add(1)
-			cand = r.candidate(u, FindingMismatch, "", out.Mismatches[0])
-			if len(out.MismatchCases) > 0 {
+		default:
+			if cand = classify(out); cand == nil {
+				e.clean.Add(1)
+				break
+			}
+			r.candidate(u, cand)
+			// The reduction predicate replays the symptom's evidence: a
+			// miscompilation's counterexample, a mismatch's failing case.
+			switch {
+			case cand.Kind == FindingMiscompilation:
+				cand.cex = out.Failures[0].Counterexample
+			case len(out.MismatchCases) > 0:
 				mc := out.MismatchCases[0]
 				cand.replay = &mc
 			}
-		default:
-			e.clean.Add(1)
 		}
 		if !send(r.ctx, r.orCh, orRec{slot: u.seed, baseID: u.baseID, finding: cand}) {
 			return
@@ -1938,21 +1933,15 @@ func (e *Engine) keepPredicate(f Finding) reduce.PredicateCtx {
 		o = &oc
 	}
 	switch f.Kind {
-	case FindingCrash:
-		return func(_ context.Context, cand *ast.Program) bool {
-			e.reduceCalls.Add(1)
-			out := o.Compile(cand)
-			return out.Crash != nil && out.Crash.Pass == f.Pass && out.Crash.Msg == f.crashMsg
-		}
-	case FindingInvalidTransform:
-		// Pin the full message like crashes do: the fingerprint and
-		// Detail carry it, so a candidate that makes the same pass fail
+	case FindingCrash, FindingInvalidTransform:
+		// Pin kind, pass and full message: the fingerprint and Detail
+		// carry them, so a candidate that makes the same pass fail
 		// differently is a different symptom, not a smaller witness of
 		// this one.
 		return func(_ context.Context, cand *ast.Program) bool {
 			e.reduceCalls.Add(1)
-			out := o.Compile(cand)
-			return out.Invalid != nil && out.Invalid.Pass == f.Pass && out.Invalid.Error() == f.crashMsg
+			g := classify(o.Compile(cand))
+			return g != nil && g.Kind == f.Kind && g.Pass == f.Pass && g.crashMsg == f.crashMsg
 		}
 	}
 	if f.Kind == FindingMiscompilation {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"gauntlet/internal/compiler"
@@ -10,6 +11,7 @@ import (
 	"gauntlet/internal/smt"
 	"gauntlet/internal/smt/solver"
 	"gauntlet/internal/sym"
+	"gauntlet/internal/target/device"
 	"gauntlet/internal/testgen"
 	"gauntlet/internal/validate"
 )
@@ -18,7 +20,8 @@ import (
 // pass pipeline, then interrogate the result with translation validation
 // (§5) and symbolic-execution packet tests (§6). It is the single
 // implementation behind Campaign.Hunt, Campaign.HuntClean and the
-// streaming Engine — one code path, three consumers.
+// streaming Engine (which p4reduce runs too) — one code path, three
+// consumers.
 //
 // An Oracle is immutable after construction and safe for concurrent use:
 // each Examine call builds its own compiler instance and solver sessions,
@@ -110,6 +113,28 @@ func (o Outcome) Finding() bool {
 	return o.Crash != nil || o.Invalid != nil || len(o.Failures) > 0 || len(o.Mismatches) > 0
 }
 
+// classify maps an outcome's bug evidence to the finding it reports:
+// kind, pass, Detail and raw symptom (crashMsg), the fields dedup and
+// reduction key on. It returns nil when the outcome holds no evidence.
+// The engine's compile and oracle stages, Hunt and HuntClean all read an
+// outcome through it, so each kind's Detail is written in one place.
+func classify(o Outcome) *Finding {
+	switch {
+	case o.Crash != nil:
+		return &Finding{Kind: FindingCrash, Pass: o.Crash.Pass,
+			Detail:   fmt.Sprintf("crash in %s: %s", o.Crash.Pass, o.Crash.Msg),
+			crashMsg: o.Crash.Msg}
+	case o.Invalid != nil:
+		msg := o.Invalid.Error()
+		return &Finding{Kind: FindingInvalidTransform, Pass: o.Invalid.Pass, Detail: msg, crashMsg: msg}
+	case len(o.Failures) > 0:
+		return &Finding{Kind: FindingMiscompilation, Pass: o.Failures[0].PassB, Detail: o.Failures[0].String()}
+	case len(o.Mismatches) > 0:
+		return &Finding{Kind: FindingMismatch, Detail: o.Mismatches[0]}
+	}
+	return nil
+}
+
 // Compile runs only the compile step of the oracle, classifying crash and
 // invalid-transform errors into the outcome.
 func (o *Oracle) Compile(prog *ast.Program) Outcome {
@@ -171,12 +196,7 @@ func (o *Oracle) Inspect(ctx context.Context, out *Outcome) {
 			out.Err = cerr
 			return
 		}
-		dev, err := deviceFromResult(out.Result)
-		if err != nil {
-			out.Err = err
-			return
-		}
-		mismatches, mcases, err := runCases(dev, cases)
+		mismatches, mcases, err := device.New(out.Result.Final).Run(cases)
 		if err != nil {
 			out.Err = err
 			return
@@ -245,11 +265,7 @@ func (o *Oracle) ReplayMismatch(cand *ast.Program, c testgen.Case) (bool, error)
 		return false, err
 	}
 	replay := testgen.CaseFromModel(input, pipe, c.Model, c.PathID)
-	dev, err := deviceFromResult(out.Result)
-	if err != nil {
-		return false, err
-	}
-	mismatches, _, err := runCases(dev, []testgen.Case{replay})
+	mismatches, _, err := device.New(out.Result.Final).Run([]testgen.Case{replay})
 	if err != nil {
 		return false, err
 	}

@@ -30,7 +30,9 @@ type CoordinatorConfig struct {
 	LeaseSlots int64
 	// LeaseTimeout expires an issued lease for re-issue (0 = 2 minutes).
 	// Set it above a lease's worst-case wall clock: expiry is never wrong
-	// (first result wins, results are deterministic), only wasteful.
+	// (first result wins, results are deterministic), only wasteful. It
+	// also sets the /healthz stall window: with leases outstanding and
+	// none released for 5/2 of it, Health reports an error.
 	LeaseTimeout time.Duration
 	// OnFinding streams each fleet-unique finding in canonical order
 	// (after the journal write when State is set).
@@ -51,10 +53,6 @@ type CoordinatorConfig struct {
 	// Obs, when set, receives the fleet gauges and per-worker lease
 	// latency histograms.
 	Obs *obs.Registry
-	// StallWindow is the /healthz liveness bound: with leases outstanding
-	// and no lease released for this long, Health reports an error
-	// (0 = 5 minutes).
-	StallWindow time.Duration
 	// Logf, when set, receives coordinator progress lines.
 	Logf func(format string, args ...any)
 }
@@ -121,9 +119,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 2 * time.Minute
-	}
-	if cfg.StallWindow <= 0 {
-		cfg.StallWindow = 5 * time.Minute
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -227,14 +222,17 @@ func (c *Coordinator) Status() FleetStatus {
 }
 
 // Health is the coordinator liveness probe: an error — /healthz 503 —
-// when leases are outstanding and none has released within StallWindow.
+// when leases are outstanding and none has released within 5/2 of
+// LeaseTimeout. A healthy lease can run up to LeaseTimeout, and so can
+// its re-issue after expiry, so a window tied to the timeout never reads
+// long leases as a stall.
 func (c *Coordinator) Health() error {
 	select {
 	case <-c.done:
 		return nil
 	default:
 	}
-	if since := time.Since(time.Unix(0, c.lastRelease.Load())); since > c.cfg.StallWindow {
+	if since := time.Since(time.Unix(0, c.lastRelease.Load())); since > 5*c.cfg.LeaseTimeout/2 {
 		return fmt.Errorf("no lease released for %s (watermark lease %d of %d)",
 			since.Round(time.Second), c.table.watermark(), c.table.total())
 	}

@@ -86,7 +86,7 @@ func TestFleetObs(t *testing.T) {
 	run.Reduce = false
 	reg := obs.NewRegistry()
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Run: run, Seeds: 32, LeaseSlots: 16, Obs: reg, StallWindow: time.Minute,
+		Run: run, Seeds: 32, LeaseSlots: 16, Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,18 +145,28 @@ func TestFleetWorkerKeepsDefaultContextClean(t *testing.T) {
 	}
 }
 
-// TestFleetStallHealth: a coordinator with outstanding leases and no
-// releases inside the stall window must report unhealthy (the /healthz
-// 503 contract).
+// TestFleetStallHealth: the /healthz stall window is 5/2 of the lease
+// timeout, so a coordinator with outstanding leases reports healthy while
+// a lease may still be running within its timeout, and unhealthy once no
+// lease has released for the window (the /healthz 503 contract).
 func TestFleetStallHealth(t *testing.T) {
+	const leaseTimeout = 40 * time.Millisecond // a 100 ms window
+	start := time.Now()
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Run: testRun(), Seeds: 32, LeaseSlots: 16, StallWindow: 10 * time.Millisecond,
+		Run: testRun(), Seeds: 32, LeaseSlots: 16, LeaseTimeout: leaseTimeout,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(30 * time.Millisecond)
+	made := time.Now()
+	time.Sleep(time.Until(start.Add(60 * time.Millisecond)))
+	// Only a probe that returned inside the window is held to healthy: a
+	// loaded machine may oversleep.
+	if err := coord.Health(); err != nil && time.Since(start) < 5*leaseTimeout/2 {
+		t.Fatalf("coordinator reports unhealthy inside the stall window: %v", err)
+	}
+	time.Sleep(time.Until(made.Add(150 * time.Millisecond)))
 	if err := coord.Health(); err == nil {
-		t.Fatal("stalled coordinator reports healthy")
+		t.Fatal("stalled coordinator reports healthy 150 ms after start")
 	}
 }

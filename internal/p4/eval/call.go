@@ -72,7 +72,7 @@ func (in *Interp) invoke(caller *env, params []ast.Param, body *ast.BlockStmt,
 		}
 		switch p.Dir {
 		case ast.DirOut:
-			callee.declare(p.Name, NewValue(p.Type, in.undef))
+			callee.declare(p.Name, NewValue(p.Type))
 		default:
 			v, err := in.evalExpr(caller, args[i])
 			if err != nil {
@@ -128,10 +128,10 @@ func (in *Interp) evalMethod(e *env, call *ast.CallExpr, m *ast.MemberExpr) (Val
 		case "setValid":
 			if !h.Valid {
 				// Freshly validated headers have undefined field values
-				// (§5.2 header-validity semantics).
+				// (§5.2 header-validity semantics), which read as zero.
 				for _, f := range h.T.Fields {
 					w := ast.BitWidth(f.Type)
-					h.F[f.Name] = &BitVal{Width: w, V: ast.MaskWidth(in.undef(w), w)}
+					h.F[f.Name] = &BitVal{Width: w}
 				}
 			}
 			h.Valid = true

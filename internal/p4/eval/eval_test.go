@@ -23,7 +23,7 @@ func run(t *testing.T, src string, cfg eval.Config, args ...eval.Value) []eval.V
 	if err := types.Check(prog); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	in := eval.New(prog, nil, cfg)
+	in := eval.New(prog, cfg)
 	ctrl := prog.Control("ig")
 	if ctrl == nil {
 		t.Fatal("no control ig")
@@ -108,7 +108,7 @@ control ig(inout S hdr) {
 }`
 	hdrT := &ast.HeaderType{Name: "H", Fields: []ast.Field{{Name: "a", Type: &ast.BitType{Width: 8}}}}
 	structT := &ast.StructType{Name: "S", Fields: []ast.Field{{Name: "h", Type: hdrT}}}
-	s := eval.NewValue(structT, eval.ZeroUndef).(*eval.StructVal)
+	s := eval.NewValue(structT).(*eval.StructVal)
 	s.F["h"].(*eval.HeaderVal).Valid = true
 	got := run(t, src, nil, s)
 	a := got[0].(*eval.StructVal).F["h"].(*eval.HeaderVal).F["a"].(*eval.BitVal)
@@ -136,7 +136,7 @@ control ig(inout S h) {
 }`
 	ethT := &ast.HeaderType{Name: "Eth", Fields: []ast.Field{{Name: "eth_type", Type: &ast.BitType{Width: 16}}}}
 	structT := &ast.StructType{Name: "S", Fields: []ast.Field{{Name: "eth", Type: ethT}}}
-	s := eval.NewValue(structT, eval.ZeroUndef).(*eval.StructVal)
+	s := eval.NewValue(structT).(*eval.StructVal)
 	s.F["eth"].(*eval.HeaderVal).Valid = true
 	got := run(t, src, nil, s)
 	v := got[0].(*eval.StructVal).F["eth"].(*eval.HeaderVal).F["eth_type"].(*eval.BitVal)
@@ -215,7 +215,7 @@ control ig(inout S hdr) {
 	}}
 	structT := &ast.StructType{Name: "S", Fields: []ast.Field{{Name: "h", Type: hdrT}}}
 	mk := func(a uint64) *eval.StructVal {
-		s := eval.NewValue(structT, eval.ZeroUndef).(*eval.StructVal)
+		s := eval.NewValue(structT).(*eval.StructVal)
 		h := s.F["h"].(*eval.HeaderVal)
 		h.Valid = true
 		h.F["a"] = bit(8, a)
@@ -262,7 +262,7 @@ control ig(inout S hdr, inout bit<8> out1) {
 }`
 	hdrT := &ast.HeaderType{Name: "H", Fields: []ast.Field{{Name: "a", Type: &ast.BitType{Width: 8}}}}
 	structT := &ast.StructType{Name: "S", Fields: []ast.Field{{Name: "h", Type: hdrT}}}
-	s := eval.NewValue(structT, eval.ZeroUndef).(*eval.StructVal)
+	s := eval.NewValue(structT).(*eval.StructVal)
 	got := run(t, src, nil, s, bit(8, 0))
 	h := got[0].(*eval.StructVal).F["h"].(*eval.HeaderVal)
 	if !h.Valid || h.F["a"].(*eval.BitVal).V != 5 {
@@ -305,7 +305,7 @@ control dep(packet pkt, in S hdr) {
 	if err := types.Check(prog); err != nil {
 		t.Fatalf("check: %v", err)
 	}
-	in := eval.New(prog, nil, nil)
+	in := eval.New(prog, nil)
 
 	ethT := &ast.HeaderType{Name: "Eth", Fields: []ast.Field{{Name: "etype", Type: &ast.BitType{Width: 16}}}}
 	ipT := &ast.HeaderType{Name: "Ip", Fields: []ast.Field{{Name: "ttl", Type: &ast.BitType{Width: 8}}}}
@@ -315,7 +315,7 @@ control dep(packet pkt, in S hdr) {
 
 	// IPv4 packet: etype 0x0800, ttl 64.
 	pkt := &eval.PacketVal{R: bitstream.NewReader([]byte{0x08, 0x00, 64})}
-	hdr := eval.NewValue(structT, eval.ZeroUndef)
+	hdr := eval.NewValue(structT)
 	args := []eval.Value{pkt, hdr}
 	if err := in.ExecParser(prog.Parser("p"), args); err != nil {
 		t.Fatalf("parser: %v", err)
@@ -330,7 +330,7 @@ control dep(packet pkt, in S hdr) {
 
 	// Non-IP packet: only ethernet extracted.
 	pkt2 := &eval.PacketVal{R: bitstream.NewReader([]byte{0x86, 0xDD, 64})}
-	hdr2 := eval.NewValue(structT, eval.ZeroUndef)
+	hdr2 := eval.NewValue(structT)
 	args2 := []eval.Value{pkt2, hdr2}
 	if err := in.ExecParser(prog.Parser("p"), args2); err != nil {
 		t.Fatalf("parser: %v", err)
@@ -341,7 +341,7 @@ control dep(packet pkt, in S hdr) {
 
 	// Short packet rejects.
 	pkt3 := &eval.PacketVal{R: bitstream.NewReader([]byte{0x08})}
-	hdr3 := eval.NewValue(structT, eval.ZeroUndef)
+	hdr3 := eval.NewValue(structT)
 	if err := in.ExecParser(prog.Parser("p"), []eval.Value{pkt3, hdr3}); !errors.Is(err, eval.ErrReject) {
 		t.Errorf("short packet: err = %v, want ErrReject", err)
 	}
@@ -420,7 +420,7 @@ control ig(inout bit<8> a, inout bit<8> b, inout bit<8> r) {
 		if err := types.Check(prog); err != nil {
 			t.Fatalf("check: %v", err)
 		}
-		in := eval.New(prog, nil, nil)
+		in := eval.New(prog, nil)
 		args := []eval.Value{bit(8, x), bit(8, y), bit(8, 0)}
 		if err := in.ExecControl(prog.Control("ig"), args); err != nil {
 			t.Fatalf("exec: %v", err)
@@ -484,7 +484,7 @@ control ig(inout bit<8> x, inout bit<8> y) {
 		t.Fatal(err)
 	}
 	f := func(xr, yr uint8) bool {
-		in := eval.New(prog, nil, nil)
+		in := eval.New(prog, nil)
 		args := []eval.Value{bit(8, uint64(xr)), bit(8, uint64(yr))}
 		if err := in.ExecControl(prog.Control("ig"), args); err != nil {
 			return false

@@ -58,7 +58,6 @@ type Config map[string]*TableConfig
 // Interp interprets programs. The zero value is not usable; call New.
 type Interp struct {
 	prog   *ast.Program
-	undef  UndefPolicy
 	tables Config
 	// MaxParserSteps bounds parser FSM execution (loop guard; the paper
 	// found a P4C crash caused by a parser loop, §7.1).
@@ -71,16 +70,13 @@ type Interp struct {
 	ctrlDecl *ast.ControlDecl
 }
 
-// New creates an interpreter for a resolved, type-checked program. undef
-// may be nil (defaults to ZeroUndef); cfg may be nil (all tables empty).
-func New(prog *ast.Program, undef UndefPolicy, cfg Config) *Interp {
-	if undef == nil {
-		undef = ZeroUndef
-	}
+// New creates an interpreter for a resolved, type-checked program. cfg
+// may be nil (all tables empty).
+func New(prog *ast.Program, cfg Config) *Interp {
 	if cfg == nil {
 		cfg = Config{}
 	}
-	return &Interp{prog: prog, undef: undef, tables: cfg, MaxParserSteps: 1024}
+	return &Interp{prog: prog, tables: cfg, MaxParserSteps: 1024}
 }
 
 // env is a lexical scope chain of name → value bindings.
@@ -138,7 +134,7 @@ func (in *Interp) ExecControl(c *ast.ControlDecl, args []Value) error {
 				}
 				v = iv.Clone()
 			} else {
-				v = NewValue(d.Type, in.undef)
+				v = NewValue(d.Type)
 			}
 			scope.declare(d.Name, v)
 		case *ast.ConstDecl:
@@ -172,7 +168,7 @@ func (in *Interp) bindParams(scope *env, params []ast.Param, args []Value) {
 		}
 		switch p.Dir {
 		case ast.DirOut:
-			scope.declare(p.Name, NewValue(p.Type, in.undef))
+			scope.declare(p.Name, NewValue(p.Type))
 		default: // in, inout, none
 			scope.declare(p.Name, args[i].Clone())
 		}
@@ -303,7 +299,7 @@ func (in *Interp) execStmt(e *env, s ast.Stmt) error {
 			}
 			v = iv.Clone()
 		} else {
-			v = NewValue(s.Type, in.undef)
+			v = NewValue(s.Type)
 		}
 		e.declare(s.Name, v)
 		return nil

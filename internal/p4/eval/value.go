@@ -5,9 +5,9 @@
 // functional form must equal this interpreter's output.
 //
 // Undefined values (uninitialized variables, out parameters, fields of
-// freshly validated headers) are produced by a configurable policy; the
-// BMv2 target uses all-zeros, matching the behaviour the paper relies on in
-// §6.2 ("BMv2 initializes any undefined variable with zero").
+// freshly validated headers) read as zero, the behaviour the paper relies
+// on in §6.2 ("BMv2 initializes any undefined variable with zero"). Test
+// generation pins every undefined input to zero to match.
 package eval
 
 import (
@@ -146,31 +146,24 @@ func (v *StructVal) String() string {
 // String renders the packet for diagnostics.
 func (v *PacketVal) String() string { return "packet" }
 
-// UndefPolicy produces the value observed when reading undefined data of
-// the given bit width. Targets differ here; BMv2 yields zero.
-type UndefPolicy func(width int) uint64
-
-// ZeroUndef is the all-zeros policy (BMv2 behaviour).
-func ZeroUndef(width int) uint64 { return 0 }
-
-// NewValue constructs the default (undefined-per-policy) value of a type.
+// NewValue constructs the default (undefined, so zero) value of a type.
 // Headers start invalid.
-func NewValue(t ast.Type, undef UndefPolicy) Value {
+func NewValue(t ast.Type) Value {
 	switch t := t.(type) {
 	case *ast.BitType:
-		return &BitVal{Width: t.Width, V: ast.MaskWidth(undef(t.Width), t.Width)}
+		return &BitVal{Width: t.Width}
 	case *ast.BoolType:
-		return &BoolVal{V: undef(1)&1 == 1}
+		return &BoolVal{}
 	case *ast.HeaderType:
 		h := &HeaderVal{T: t, Valid: false, F: map[string]Value{}}
 		for _, f := range t.Fields {
-			h.F[f.Name] = NewValue(f.Type, undef)
+			h.F[f.Name] = NewValue(f.Type)
 		}
 		return h
 	case *ast.StructType:
 		s := &StructVal{T: t, F: map[string]Value{}}
 		for _, f := range t.Fields {
-			s.F[f.Name] = NewValue(f.Type, undef)
+			s.F[f.Name] = NewValue(f.Type)
 		}
 		return s
 	default:

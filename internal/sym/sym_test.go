@@ -324,7 +324,7 @@ func TestDifferentialSymVsEval(t *testing.T) {
 				// Concrete run.
 				cfg := buildTableConfig(prog, ctrl, m)
 				args := buildEvalArgs(ctrl.Params, m)
-				in := eval.New(prog, eval.ZeroUndef, cfg)
+				in := eval.New(prog, cfg)
 				if err := in.ExecControl(ctrl, args); err != nil {
 					t.Fatalf("trial %d: eval: %v", trial, err)
 				}
@@ -587,7 +587,7 @@ func TestDifferentialOnGeneratedPrograms(t *testing.T) {
 				}
 				cfg := buildTableConfig(prog, ctrl, m)
 				args := buildEvalArgs(ctrl.Params, m)
-				in := eval.New(prog, eval.ZeroUndef, cfg)
+				in := eval.New(prog, cfg)
 				if err := in.ExecControl(ctrl, args); err != nil {
 					t.Fatalf("seed %d %s trial %d: eval: %v", seed, ctrl.Name, trial, err)
 				}

@@ -1,16 +1,13 @@
-// Package bmv2 is the reference software-switch target: the stand-in for
-// p4c-bm2-ss + simple_switch. Compilation appends a lowering pass to the
-// reference pipeline; execution delegates to the shared device core with
-// BMv2's all-zeros undefined-value behaviour (§6.2). The STF harness runs
-// symbolic test cases against it, mirroring p4c's simple testing framework.
+// Package bmv2 is the reference software-switch target's back end: the
+// stand-in for p4c-bm2-ss, whose output simple_switch runs. core.Pipeline
+// appends its lowering pass to the reference front and mid end; execution
+// and packet tests go through the shared device core (package device),
+// which zero-initializes undefined values as simple_switch does (§6.2).
 package bmv2
 
 import (
 	"gauntlet/internal/compiler"
 	"gauntlet/internal/p4/ast"
-	"gauntlet/internal/p4/eval"
-	"gauntlet/internal/target/device"
-	"gauntlet/internal/testgen"
 )
 
 // lowering is the BMv2 JSON-generation stand-in. The reference lowering
@@ -26,54 +23,3 @@ func (lowering) Run(prog *ast.Program) (*ast.Program, error) { return prog, nil 
 
 // BackendPasses returns the BMv2 back-end pipeline.
 func BackendPasses() []compiler.Pass { return []compiler.Pass{lowering{}} }
-
-// Target is a compiled BMv2 instance.
-type Target struct {
-	// Result is the full compilation (snapshots included).
-	Result *compiler.Result
-	dev    *device.Device
-}
-
-// Compile runs the program through the default front/mid pipeline plus
-// the BMv2 back end (plus any extra passes) and boots a simulator over
-// the final program.
-func Compile(prog *ast.Program, extra []compiler.Pass) (*Target, error) {
-	pl := append(compiler.DefaultPasses(), BackendPasses()...)
-	pl = append(pl, extra...)
-	res, err := compiler.New(pl...).Compile(prog)
-	if err != nil {
-		return nil, err
-	}
-	return &Target{Result: res, dev: device.New(res.Final, eval.ZeroUndef)}, nil
-}
-
-// Inject runs one packet through the simulator.
-func (t *Target) Inject(cfg eval.Config, pkt []byte) (device.Result, error) {
-	return t.dev.Inject(cfg, pkt)
-}
-
-// STF is the simple-testing-framework harness: it feeds generated test
-// cases to a compiled target and reports expectation mismatches.
-type STF struct {
-	Target *Target
-}
-
-// Run injects every case and returns one description per mismatch.
-func (s *STF) Run(cases []testgen.Case) ([]string, error) {
-	var out []string
-	for _, c := range cases {
-		obs, err := s.Target.Inject(c.Config, c.Packet)
-		if err != nil {
-			return out, err
-		}
-		want := device.Result{Drop: c.ExpectDrop, Packet: c.ExpectPacket}
-		if !device.Equal(want, obs) {
-			out = append(out, device.Mismatch{
-				CaseSummary: c.Summary(),
-				Expected:    want,
-				Observed:    obs,
-			}.String())
-		}
-	}
-	return out, nil
-}

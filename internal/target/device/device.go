@@ -1,9 +1,15 @@
 // Package device executes a compiled program as a packet-in/packet-out
-// switch: the shared execution core of both target simulators. It threads
-// a packet through the program's main pipeline (parser → controls →
+// switch: the shared execution core of both target simulators, which
+// zero-initialize undefined values as BMv2 does (§6.2). It threads a
+// packet through the program's main pipeline (parser → controls →
 // deparser) with the concrete interpreter, mirroring the architecture
 // contract the symbolic composition assumes: blocks communicate through
 // identically-named parameters (hdr, sm).
+//
+// Run is the one packet-test loop, the PTF/STF harness: it injects each
+// generated test case and compares the result with the case's
+// expectation. The oracle's packet tests and mismatch replay, p4interp
+// and the test generator's reference-target tests all call it.
 package device
 
 import (
@@ -14,19 +20,16 @@ import (
 	"gauntlet/internal/bitstream"
 	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/eval"
+	"gauntlet/internal/testgen"
 )
 
 // Device is an executable pipeline over a compiled program.
 type Device struct {
-	prog  *ast.Program
-	undef eval.UndefPolicy
+	prog *ast.Program
 }
 
-// New wraps a compiled program as a device with the given undefined-value
-// policy (both simulators zero-initialize, matching §6.2).
-func New(prog *ast.Program, undef eval.UndefPolicy) *Device {
-	return &Device{prog: prog, undef: undef}
-}
+// New wraps a compiled program as a device.
+func New(prog *ast.Program) *Device { return &Device{prog: prog} }
 
 // Result is the observable outcome of injecting one packet.
 type Result struct {
@@ -34,6 +37,15 @@ type Result struct {
 	Drop bool
 	// Packet is the deparsed output packet when not dropped.
 	Packet []byte
+}
+
+// String renders the result for mismatch reports: "drop" or the packet
+// in hex.
+func (r Result) String() string {
+	if r.Drop {
+		return "drop"
+	}
+	return fmt.Sprintf("%x", r.Packet)
 }
 
 // Equal compares two results (drop matches drop; otherwise byte-equal
@@ -48,23 +60,27 @@ func Equal(a, b Result) bool {
 	return bytes.Equal(a.Packet, b.Packet)
 }
 
-// Mismatch describes one disagreement between an expected and an observed
-// result — the packet-test failure report of the PTF/STF harnesses.
-type Mismatch struct {
-	CaseSummary        string
-	Expected, Observed Result
-}
-
-// String renders the mismatch for bug reports.
-func (m Mismatch) String() string {
-	render := func(r Result) string {
-		if r.Drop {
-			return "drop"
+// Run injects every test case and compares the observed result with the
+// case's expectation. It returns one description per mismatch together
+// with the case that produced it (same order), so a reducer can replay
+// one concrete counterexample instead of regenerating a suite. An
+// injection error ends the run; the mismatches found before it are
+// returned with it.
+func (d *Device) Run(cases []testgen.Case) ([]string, []testgen.Case, error) {
+	var out []string
+	var bad []testgen.Case
+	for _, c := range cases {
+		obs, err := d.Inject(c.Config, c.Packet)
+		if err != nil {
+			return out, bad, err
 		}
-		return fmt.Sprintf("%x", r.Packet)
+		want := Result{Drop: c.ExpectDrop, Packet: c.ExpectPacket}
+		if !Equal(want, obs) {
+			out = append(out, fmt.Sprintf("%s: expected %s, observed %s", c.Summary(), want, obs))
+			bad = append(bad, c)
+		}
 	}
-	return fmt.Sprintf("%s: expected %s, observed %s",
-		m.CaseSummary, render(m.Expected), render(m.Observed))
+	return out, bad, nil
 }
 
 // Inject installs the table configuration, runs the packet through the
@@ -75,7 +91,7 @@ func (d *Device) Inject(cfg eval.Config, pkt []byte) (Result, error) {
 	if main == nil {
 		return Result{}, fmt.Errorf("device: program has no main instantiation")
 	}
-	in := eval.New(d.prog, d.undef, cfg)
+	in := eval.New(d.prog, cfg)
 	pv := &eval.PacketVal{R: bitstream.NewReader(pkt), W: bitstream.NewWriter()}
 
 	// Shared pipeline state: parameter name → value, carried across
@@ -101,7 +117,7 @@ func (d *Device) Inject(cfg eval.Config, pkt []byte) (Result, error) {
 			if v, ok := state[p.Name]; ok {
 				args[i] = v
 			} else {
-				args[i] = eval.NewValue(p.Type, d.undef)
+				args[i] = eval.NewValue(p.Type)
 			}
 		}
 		var err error

@@ -45,13 +45,6 @@ type Options struct {
 	MaxCases int
 	// MaxConflicts bounds each solver call.
 	MaxConflicts int
-	// MaxBranches bounds how many branch conditions are toggled (deeper
-	// conditions keep their solver-chosen polarity). Guards against the
-	// exponential path explosion the paper notes (§6.2).
-	MaxBranches int
-	// UndefValue is the value ascribed to undefined reads, which must
-	// match the target's behaviour (BMv2 zero-initializes, §6.2).
-	UndefValue uint64
 	// DisablePreferences turns off the non-zero / non-literal /
 	// large-value model steering and the complement second model — the
 	// ablation showing why §6.2 asks Z3 for non-zero pairs.
@@ -81,9 +74,14 @@ func (o Options) smtCtx() *smt.Context {
 	return smt.DefaultContext()
 }
 
+// maxBranches bounds how many branch conditions are toggled (deeper
+// conditions keep their solver-chosen polarity). Guards against the
+// exponential path explosion the paper notes (§6.2).
+const maxBranches = 10
+
 // DefaultOptions mirrors the paper's small-program regime.
 func DefaultOptions() Options {
-	return Options{MaxCases: 32, MaxConflicts: 200000, MaxBranches: 10, UndefValue: 0}
+	return Options{MaxCases: 32, MaxConflicts: 200000}
 }
 
 // Generate builds test cases for a program's full pipeline.
@@ -123,7 +121,8 @@ func FromPipelineContext(ctx context.Context, prog *ast.Program, pipe *sym.Pipel
 
 	// Base constraints: byte-aligned packet length within the parser's
 	// reach, and the target's undefined-value semantics pinned (§6.2
-	// choice 2: ascribe specific values and check conformance).
+	// choice 2: ascribe specific values and check conformance): undefined
+	// values are zero, as on the zero-filling device.
 	// Build every auxiliary term in the pipeline's context: the formula
 	// and its constraints retire together when the owning epoch does.
 	sctx := pipe.Ctx
@@ -149,25 +148,20 @@ func FromPipelineContext(ctx context.Context, prog *ast.Program, pipe *sym.Pipel
 			base = append(base, smt.Not(v))
 			continue
 		}
-		base = append(base, smt.Eq(v, sctx.Const(opts.UndefValue, v.W)))
+		base = append(base, smt.Eq(v, sctx.Const(0, v.W)))
 	}
 	for _, h := range pipe.HavocNames {
 		w := havocWidth(h)
 		if w == 0 {
-			v := sctx.BoolVar(h)
-			if opts.UndefValue&1 == 1 {
-				base = append(base, v)
-			} else {
-				base = append(base, smt.Not(v))
-			}
+			base = append(base, smt.Not(sctx.BoolVar(h)))
 			continue
 		}
-		base = append(base, smt.Eq(sctx.Var(h, w), sctx.Const(opts.UndefValue, w)))
+		base = append(base, smt.Eq(sctx.Var(h, w), sctx.Const(0, w)))
 	}
 
 	conds := pipe.BranchConds
-	if len(conds) > opts.MaxBranches {
-		conds = conds[:opts.MaxBranches]
+	if len(conds) > maxBranches {
+		conds = conds[:maxBranches]
 	}
 
 	// Model preferences, applied greedily per path: every parsed field

@@ -3,13 +3,32 @@ package testgen_test
 import (
 	"testing"
 
+	"gauntlet/internal/bugs"
+	"gauntlet/internal/compiler"
+	"gauntlet/internal/core"
 	"gauntlet/internal/generator"
 	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/parser"
 	"gauntlet/internal/p4/types"
-	"gauntlet/internal/target/bmv2"
+	"gauntlet/internal/target/device"
 	"gauntlet/internal/testgen"
 )
+
+// runOnReference compiles prog with the BMv2 reference pipeline and runs
+// the cases through the device's packet-test loop, returning the
+// mismatches.
+func runOnReference(prog *ast.Program, cases []testgen.Case) ([]string, error) {
+	passes, err := core.Pipeline(bugs.BMv2)
+	if err != nil {
+		return nil, err
+	}
+	res, err := compiler.New(passes...).Compile(prog)
+	if err != nil {
+		return nil, err
+	}
+	mismatches, _, err := device.New(res.Final).Run(cases)
+	return mismatches, err
+}
 
 const twoPath = `
 header Eth { bit<8> kind; bit<8> val; }
@@ -85,12 +104,7 @@ func TestExpectationsMatchReferenceTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target, err := bmv2.Compile(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stf := &bmv2.STF{Target: target}
-	mismatches, err := stf.Run(cases)
+	mismatches, err := runOnReference(prog, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +131,9 @@ func TestExpectationsOnGeneratedPrograms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: testgen: %v", seed, err)
 		}
-		target, err := bmv2.Compile(prog, nil)
+		mismatches, err := runOnReference(prog, cases)
 		if err != nil {
-			t.Fatalf("seed %d: compile: %v", seed, err)
-		}
-		stf := &bmv2.STF{Target: target}
-		mismatches, err := stf.Run(cases)
-		if err != nil {
-			t.Fatalf("seed %d: stf: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if len(mismatches) > 0 {
 			t.Fatalf("seed %d: %d mismatches on the reference target:\n%v",
@@ -197,12 +206,7 @@ V1Switch(p, ingress, egress, dep) main;
 		t.Fatal("no generated case exercises the setv entry")
 	}
 	// And all of them must hold on the reference target.
-	target, err := bmv2.Compile(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stf := &bmv2.STF{Target: target}
-	mismatches, err := stf.Run(cases)
+	mismatches, err := runOnReference(prog, cases)
 	if err != nil {
 		t.Fatal(err)
 	}
