@@ -215,6 +215,20 @@
 //     steering cost one incremental query per decision instead of a full
 //     re-blast. (Equivalence queries deliberately stay one-shot: their
 //     circuits overlap too little for session reuse to pay.)
+//   - A same-trajectory CDCL core. Test packets are SAT models, so the
+//     search itself is fixed: every decision, propagation, learnt
+//     clause, conflict count and model equals that of a verbatim copy of
+//     the original solver, checked after every call by the solver's
+//     trajectory tests, and only the cost of a step may change. Decisions
+//     follow a sorted order with a cursor until an activity changes, then
+//     a heap. Every clause lives in one flat arena of literal codes that
+//     watch lists and reasons address by offset, and values are indexed
+//     by literal code, so a watch visit reads the clause's words with one
+//     dependent load and a literal's value with one more. analyze learns
+//     into a reused buffer, so a conflict allocates only when the arena
+//     grows. BenchmarkEquivalenceQueryBudgeted times the one equivalence
+//     query that exhausts the default budget at the end of bench/'s
+//     tv-campaign.
 //   - Validation caching. validate.Cache memoizes block formulas (keyed
 //     by printed source) and equivalence verdicts (keyed by simplified
 //     term ID); core.Campaign and core.Engine share one cache across all

@@ -9,15 +9,18 @@ import (
 	"gauntlet/internal/smt"
 )
 
+// choices is where the random term builders draw every choice from: a
+// *rand.Rand in the tests, the input bytes in the fuzz targets.
+type choices interface {
+	Intn(n int) int
+	Uint64() uint64
+}
+
 // termGen builds random terms over a, b, c (8 bits), n (4 bits) and p
-// (a bool), with their leaves in ctx and every choice drawn from r: a
-// *rand.Rand in the tests, the input bytes in FuzzSimplify.
+// (a bool), with their leaves in ctx and every choice drawn from r.
 type termGen struct {
 	ctx *smt.Context
-	r   interface {
-		Intn(n int) int
-		Uint64() uint64
-	}
+	r   choices
 }
 
 // simpRandBV builds a random 8-bit term in the default context.

@@ -537,16 +537,16 @@ func (b *Blaster) Assert(t *smt.Term) {
 }
 
 // Model extracts the assignment of all blasted input variables after Sat.
-func (b *Blaster) Model() smt.Assignment { return b.modelOf(b.sat.assign) }
+func (b *Blaster) Model() smt.Assignment { return b.modelOf(b.sat.vals) }
 
 // modelOf extracts the input assignment from a copy of the SAT solver's
-// per-variable values.
-func (b *Blaster) modelOf(assign []int8) smt.Assignment {
+// per-literal values.
+func (b *Blaster) modelOf(vals []int8) smt.Assignment {
 	m := make(smt.Assignment, len(b.vars))
 	for n, lits := range b.vars {
 		var v uint64
 		for i, l := range lits {
-			bit := assign[l.Var()] == 1
+			bit := vals[2*l.Var()] == 1
 			if l < 0 {
 				bit = !bit
 			}

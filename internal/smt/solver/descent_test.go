@@ -86,19 +86,26 @@ func descent(solve func(assumps []Lit) Status, conds, prefs []Lit, maxCalls int)
 	return calls
 }
 
+// cnfScript returns the script steps that rebuild an unsolved SAT
+// instance: its variables, its root-level units, then its clauses.
+func cnfScript(sat *SAT) []step {
+	steps := newVars(sat.NumVars())
+	view := viewOf(sat)
+	for _, l := range view.trail {
+		steps = append(steps, clauseStep(l))
+	}
+	for _, cl := range view.clauses {
+		steps = append(steps, clauseStep(cl...))
+	}
+	return steps
+}
+
 // descentScript replays descentFormula's CNF and maxCalls descent solves
-// as a trajectory script. The root-level units go first, then the
-// clauses, and the solves follow the verdicts SAT gives.
+// as a trajectory script. The solves follow the verdicts SAT gives.
 func descentScript(maxCalls int) []step {
 	sess, conds, prefs := descentFormula()
 	sat := sess.b.SAT()
-	steps := newVars(sat.NumVars())
-	for _, l := range sat.trail {
-		steps = append(steps, clauseStep(l))
-	}
-	for _, cl := range sat.clauses {
-		steps = append(steps, clauseStep(slices.Clone(cl)...))
-	}
+	steps := cnfScript(sat)
 	descent(func(assumps []Lit) Status {
 		steps = append(steps, solveStep(0, slices.Clone(assumps)...))
 		return sat.SolveAssuming(assumps...)

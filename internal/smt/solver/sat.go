@@ -28,6 +28,23 @@
 // as in test generation's conflict-free calls; from a call's first
 // conflict on, a binary heap keeps it. Watch lists are compacted in place,
 // in order, during propagation.
+//
+// The clause database is one flat arena of uint32 words. A clause is a
+// length word followed by its literals, stored as codes: 2v for v and
+// 2v+1 for ¬v (Lit.index), so a code's negation is code^1 and its variable
+// code>>1. Problem and learnt clauses are appended in the order they are
+// added, and a clause is named by the offset of its length word: watch
+// lists and reasons hold offsets. Offsets grow with the order of addition,
+// so reading the arena front to back gives the clause list, in the same
+// order and with the same literal order, that the original solver kept.
+// A watch visit reads the clause's words directly, one dependent load
+// where a slice of slices needs two, and the words of one clause share
+// cache lines. Values are kept per literal code, set for both polarities
+// on assignment and cleared on backtrack, so a literal's value is one
+// load. analyze builds each learnt clause in a reused buffer that attach
+// copies into the arena, so a conflict allocates only when the arena or
+// a watch list grows. Growing may move the arena: no sub-slice of it is
+// held across an attach.
 package solver
 
 import (
@@ -49,13 +66,13 @@ func (l Lit) Var() int {
 	return int(l)
 }
 
-// index maps a literal to a dense watch index: 2v for positive, 2v+1 for
-// negative.
-func (l Lit) index() int {
+// index maps a literal to its code, the dense index the solver stores it
+// under: 2v for positive, 2v+1 for negative.
+func (l Lit) index() uint32 {
 	if l > 0 {
-		return 2 * int(l)
+		return 2 * uint32(l)
 	}
-	return 2*int(-l) + 1
+	return 2*uint32(-l) + 1
 }
 
 // Status is a solver verdict.
@@ -82,18 +99,23 @@ func (s Status) String() string {
 
 const unassigned int8 = -1
 
+// noClause is an offset no clause has: the reason of a decision, an
+// assumption or a root-level unit, and propagate's "no conflict".
+const noClause = ^uint32(0)
+
 // SAT is a CDCL SAT solver. The zero value is ready to use.
 type SAT struct {
 	nVars    int
-	clauses  [][]Lit // problem and learnt clauses
-	watches  [][]int // lit index → clause indices watching it
-	assign   []int8  // var → 0 false, 1 true, -1 unassigned
-	level    []int   // var → decision level
-	reason   []int   // var → clause index or -1
-	phase    []int8  // var → saved phase
+	arena    []uint32   // every clause: a length word, then literal codes
+	nClauses int        // problem and learnt clauses in the arena
+	watches  [][]uint32 // literal code → offsets of the clauses watching it
+	vals     []int8     // literal code → 1 true, 0 false, -1 unassigned
+	level    []int      // var → decision level
+	reason   []uint32   // var → offset of the implying clause, or noClause
+	phase    []int8     // var → saved phase
 	activity []float64
 	varInc   float64
-	trail    []Lit
+	trail    []uint32 // codes of the assigned literals, in order
 	trailLim []int
 	qhead    int
 	unsat    bool // a top-level conflict was added
@@ -138,9 +160,13 @@ type SAT struct {
 
 	seen []bool // scratch for analyze
 
-	// stamp marks, by literal index, the literals AddClause has kept for
+	// lits is the clause under construction, AddClause's simplified
+	// clause or analyze's learnt one; attach copies it into the arena.
+	lits []uint32
+
+	// stamp marks, by literal code, the literals AddClause has kept for
 	// the clause numbered stampGen, so simplifying a clause allocates
-	// nothing beyond the clause itself.
+	// nothing.
 	stamp    []uint32
 	stampGen uint32
 }
@@ -148,10 +174,10 @@ type SAT struct {
 // NewVar allocates a fresh variable and returns its (positive) index.
 // Variables are 1-based; index 0 of the internal arrays is padding.
 func (s *SAT) NewVar() int {
-	if s.nVars == 0 && len(s.assign) == 0 {
-		s.assign = append(s.assign, unassigned)
+	if s.nVars == 0 && len(s.vals) == 0 {
+		s.vals = append(s.vals, unassigned, unassigned)
 		s.level = append(s.level, 0)
-		s.reason = append(s.reason, -1)
+		s.reason = append(s.reason, noClause)
 		s.phase = append(s.phase, 0)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
@@ -161,9 +187,9 @@ func (s *SAT) NewVar() int {
 		s.stamp = append(s.stamp, 0, 0)
 	}
 	s.nVars++
-	s.assign = append(s.assign, unassigned)
+	s.vals = append(s.vals, unassigned, unassigned)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, -1)
+	s.reason = append(s.reason, noClause)
 	s.phase = append(s.phase, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
@@ -179,17 +205,6 @@ func (s *SAT) NewVar() int {
 		s.ranked = append(s.ranked, s.nVars)
 	}
 	return s.nVars
-}
-
-func (s *SAT) value(l Lit) int8 {
-	a := s.assign[l.Var()]
-	if a == unassigned {
-		return unassigned
-	}
-	if l < 0 {
-		return 1 - a
-	}
-	return a
 }
 
 // AddClause adds a clause of literals. Empty clauses (or clauses that
@@ -209,119 +224,124 @@ func (s *SAT) AddClause(lits ...Lit) {
 		s.stampGen = 1
 	}
 	// Simplify: drop duplicate/false literals, detect tautologies.
-	var cl []Lit
+	s.lits = s.lits[:0]
 	for _, l := range lits {
 		if l.Var() > s.nVars || l == 0 {
 			panic(fmt.Sprintf("sat: bad literal %d", l))
 		}
-		if s.stamp[l.index()] == s.stampGen {
+		c := l.index()
+		if s.stamp[c] == s.stampGen {
 			continue
 		}
-		if s.stamp[l.Neg().index()] == s.stampGen {
+		if s.stamp[c^1] == s.stampGen {
 			return // tautology
 		}
 		// Top-level values.
-		if s.level[l.Var()] == 0 {
-			switch s.value(l) {
+		if s.level[c>>1] == 0 {
+			switch s.vals[c] {
 			case 1:
 				return // already satisfied
 			case 0:
 				continue // already false at top level
 			}
 		}
-		s.stamp[l.index()] = s.stampGen
-		cl = append(cl, l)
+		s.stamp[c] = s.stampGen
+		s.lits = append(s.lits, c)
 	}
-	switch len(cl) {
+	switch len(s.lits) {
 	case 0:
 		s.unsat = true
 		return
 	case 1:
-		if !s.enqueue(cl[0], -1) {
+		if !s.enqueue(s.lits[0], noClause) {
 			s.unsat = true
 		}
-		if s.propagate() >= 0 {
+		if s.propagate() != noClause {
 			s.unsat = true
 		}
 		return
 	}
-	s.attach(cl)
+	s.attach(s.lits)
 }
 
-func (s *SAT) attach(cl []Lit) {
-	idx := len(s.clauses)
-	s.clauses = append(s.clauses, cl)
-	s.watches[cl[0].index()] = append(s.watches[cl[0].index()], idx)
-	s.watches[cl[1].index()] = append(s.watches[cl[1].index()], idx)
+// attach appends a clause of at least two literal codes to the arena,
+// watches its first two literals and returns its offset.
+func (s *SAT) attach(cl []uint32) uint32 {
+	if uint64(len(s.arena))+1+uint64(len(cl)) >= uint64(noClause) {
+		panic("sat: clause arena exceeds its 32-bit offsets")
+	}
+	off := uint32(len(s.arena))
+	s.arena = append(s.arena, uint32(len(cl)))
+	s.arena = append(s.arena, cl...)
+	s.nClauses++
+	s.watches[cl[0]] = append(s.watches[cl[0]], off)
+	s.watches[cl[1]] = append(s.watches[cl[1]], off)
+	return off
 }
 
-func (s *SAT) enqueue(l Lit, reason int) bool {
-	switch s.value(l) {
+func (s *SAT) enqueue(c, reason uint32) bool {
+	switch s.vals[c] {
 	case 1:
 		return true
 	case 0:
 		return false
 	}
-	v := l.Var()
-	if l > 0 {
-		s.assign[v] = 1
-	} else {
-		s.assign[v] = 0
-	}
+	s.vals[c], s.vals[c^1] = 1, 0
+	v := c >> 1
 	s.level[v] = s.decisionLevel()
 	s.reason[v] = reason
-	s.trail = append(s.trail, l)
+	s.trail = append(s.trail, c)
 	return true
 }
 
 func (s *SAT) decisionLevel() int { return len(s.trailLim) }
 
-// propagate performs unit propagation; returns the index of a conflicting
-// clause or -1. Each watch list is compacted in place, keeping its order:
-// a clause that moves its watch is appended to the new literal's list,
-// which is never the list being scanned (the new watch is not false).
-func (s *SAT) propagate() int {
+// propagate performs unit propagation; returns the offset of a conflicting
+// clause or noClause. Each watch list is compacted in place, keeping its
+// order: a clause that moves its watch is appended to the new literal's
+// list, which is never the list being scanned (the new watch is not
+// false).
+func (s *SAT) propagate() uint32 {
+	arena, vals := s.arena, s.vals
 	for s.qhead < len(s.trail) {
-		p := s.trail[s.qhead]
+		falseLit := s.trail[s.qhead] ^ 1
 		s.qhead++
-		falseLit := p.Neg()
-		wi := falseLit.index()
-		ws := s.watches[wi]
+		ws := s.watches[falseLit]
 		kept := 0
 	next:
-		for i, ci := range ws {
-			cl := s.clauses[ci]
+		for i, off := range ws {
+			cl := arena[off+1 : off+1+arena[off]]
 			// Ensure the false literal is at cl[1].
 			if cl[0] == falseLit {
 				cl[0], cl[1] = cl[1], cl[0]
 			}
 			// Satisfied by the other watch?
-			if s.value(cl[0]) == 1 {
-				ws[kept] = ci
+			if vals[cl[0]] == 1 {
+				ws[kept] = off
 				kept++
 				continue
 			}
 			// Find a new literal to watch.
 			for k := 2; k < len(cl); k++ {
-				if s.value(cl[k]) != 0 {
+				if vals[cl[k]] != 0 {
 					cl[1], cl[k] = cl[k], cl[1]
-					s.watches[cl[1].index()] = append(s.watches[cl[1].index()], ci)
+					s.watches[cl[1]] = append(s.watches[cl[1]], off)
 					continue next
 				}
 			}
 			// Unit or conflict.
-			ws[kept] = ci
+			ws[kept] = off
 			kept++
-			if !s.enqueue(cl[0], ci) {
+			if !s.enqueue(cl[0], off) {
 				// Conflict: keep the unvisited watches and report.
 				kept += copy(ws[kept:], ws[i+1:])
-				s.watches[wi] = ws[:kept]
-				return ci
+				s.watches[falseLit] = ws[:kept]
+				return off
 			}
 		}
-		s.watches[wi] = ws[:kept]
+		s.watches[falseLit] = ws[:kept]
 	}
-	return -1
+	return noClause
 }
 
 func (s *SAT) bumpVar(v int) {
@@ -344,17 +364,17 @@ func (s *SAT) bumpVar(v int) {
 	}
 }
 
-// analyze derives a 1-UIP learnt clause from a conflict; returns the
-// clause and the backtrack level.
-func (s *SAT) analyze(conflict int) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+// analyze derives a 1-UIP learnt clause from a conflict into s.lits, the
+// asserting literal first; returns the backtrack level.
+func (s *SAT) analyze(conflict uint32) int {
+	learnt := append(s.lits[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
-	var p Lit
+	var p uint32 // the literal resolved on; 0 is no literal's code
 	idx := len(s.trail) - 1
 	reason := conflict
 
 	for {
-		cl := s.clauses[reason]
+		cl := s.arena[reason+1 : reason+1+s.arena[reason]]
 		start := 0
 		if p != 0 {
 			start = 1 // skip the asserting literal slot of the reason
@@ -363,12 +383,12 @@ func (s *SAT) analyze(conflict int) ([]Lit, int) {
 			if p != 0 && q == p {
 				continue
 			}
-			v := q.Var()
+			v := q >> 1
 			if s.seen[v] || s.level[v] == 0 {
 				continue
 			}
 			s.seen[v] = true
-			s.bumpVar(v)
+			s.bumpVar(int(v))
 			if s.level[v] == s.decisionLevel() {
 				counter++
 			} else {
@@ -376,29 +396,29 @@ func (s *SAT) analyze(conflict int) ([]Lit, int) {
 			}
 		}
 		// Find the next literal on the trail to resolve on.
-		for !s.seen[s.trail[idx].Var()] {
+		for !s.seen[s.trail[idx]>>1] {
 			idx--
 		}
 		p = s.trail[idx]
-		v := p.Var()
+		v := p >> 1
 		s.seen[v] = false
 		counter--
 		if counter == 0 {
-			learnt[0] = p.Neg()
+			learnt[0] = p ^ 1
 			break
 		}
 		reason = s.reason[v]
 		idx--
 	}
-	for _, l := range learnt[1:] {
-		s.seen[l.Var()] = false
+	for _, c := range learnt[1:] {
+		s.seen[c>>1] = false
 	}
 
 	// Backtrack level: highest level among learnt[1:].
 	blevel := 0
 	swapIdx := -1
-	for i, l := range learnt[1:] {
-		if lv := s.level[l.Var()]; lv > blevel {
+	for i, c := range learnt[1:] {
+		if lv := s.level[c>>1]; lv > blevel {
 			blevel = lv
 			swapIdx = i + 1
 		}
@@ -406,7 +426,8 @@ func (s *SAT) analyze(conflict int) ([]Lit, int) {
 	if swapIdx > 0 {
 		learnt[1], learnt[swapIdx] = learnt[swapIdx], learnt[1]
 	}
-	return learnt, blevel
+	s.lits = learnt
+	return blevel
 }
 
 // backtrack retracts every level above the given one. Retracted variables
@@ -417,14 +438,14 @@ func (s *SAT) backtrack(level int) {
 	if s.decisionLevel() <= level {
 		return
 	}
-	for _, l := range s.trail[s.trailLim[level]:] {
-		v := l.Var()
-		s.phase[v] = s.assign[v]
-		s.assign[v] = unassigned
-		s.reason[v] = -1
+	for _, c := range s.trail[s.trailLim[level]:] {
+		v := c >> 1
+		s.phase[v] = s.vals[c&^1]
+		s.vals[c], s.vals[c^1] = unassigned, unassigned
+		s.reason[v] = noClause
 		if s.unranked {
 			if s.orderPos[v] < 0 {
-				s.orderPush(v)
+				s.orderPush(int(v))
 			}
 		} else if r := s.rankOf[v]; r < s.cursor {
 			s.cursor = r
@@ -441,13 +462,13 @@ func (s *SAT) decide() Lit {
 	v := 0
 	if s.unranked {
 		for v == 0 && len(s.order) > 0 {
-			if u := s.orderPop(); s.assign[u] == unassigned {
+			if u := s.orderPop(); s.vals[2*u] == unassigned {
 				v = u
 			}
 		}
 	} else {
 		for ; s.cursor < len(s.ranked); s.cursor++ {
-			if u := s.ranked[s.cursor]; s.assign[u] == unassigned {
+			if u := s.ranked[s.cursor]; s.vals[2*u] == unassigned {
 				v = u
 				break
 			}
@@ -494,7 +515,7 @@ func (s *SAT) rank() {
 // order.
 func (s *SAT) unrank() {
 	for _, v := range s.ranked[s.cursor:] {
-		if s.assign[v] == unassigned {
+		if s.vals[2*v] == unassigned {
 			s.orderPos[v] = len(s.order)
 			s.order = append(s.order, v)
 		}
@@ -625,13 +646,13 @@ func (s *SAT) SolveAssuming(assumps ...Lit) Status {
 	conflictsHere := 0
 	startConflicts := s.Conflicts
 
-	if s.propagate() >= 0 {
+	if s.propagate() != noClause {
 		s.unsat = true // conflict at the root level is global
 		return Unsat
 	}
 	for {
 		conflict := s.propagate()
-		if conflict >= 0 {
+		if conflict != noClause {
 			s.Conflicts++
 			conflictsHere++
 			if s.MaxConflicts > 0 && s.Conflicts-startConflicts > s.MaxConflicts {
@@ -644,16 +665,15 @@ func (s *SAT) SolveAssuming(assumps ...Lit) Status {
 				s.unsat = true
 				return Unsat
 			}
-			learnt, blevel := s.analyze(conflict)
-			s.backtrack(blevel)
-			if len(learnt) == 1 {
-				if !s.enqueue(learnt[0], -1) {
+			s.backtrack(s.analyze(conflict))
+			if len(s.lits) == 1 {
+				if !s.enqueue(s.lits[0], noClause) {
 					s.unsat = true
 					return Unsat
 				}
 			} else {
-				s.attach(learnt)
-				s.enqueue(learnt[0], len(s.clauses)-1)
+				off := s.attach(s.lits)
+				s.enqueue(s.lits[0], off)
 			}
 			s.varInc /= 0.95 // VSIDS decay
 			continue
@@ -674,7 +694,7 @@ func (s *SAT) SolveAssuming(assumps ...Lit) Status {
 		next := Lit(0)
 		for next == 0 && s.decisionLevel() < len(s.assumps) {
 			p := s.assumps[s.decisionLevel()]
-			switch s.value(p) {
+			switch s.vals[p.index()] {
 			case 1:
 				// Already implied: open a dummy level to keep the
 				// level ↔ assumption-index correspondence.
@@ -692,15 +712,15 @@ func (s *SAT) SolveAssuming(assumps ...Lit) Status {
 			}
 		}
 		s.trailLim = append(s.trailLim, len(s.trail))
-		s.enqueue(next, -1)
+		s.enqueue(next.index(), noClause)
 	}
 }
 
 // ValueOf returns the model value of a variable after Sat.
-func (s *SAT) ValueOf(v int) bool { return s.assign[v] == 1 }
+func (s *SAT) ValueOf(v int) bool { return s.vals[2*v] == 1 }
 
 // NumVars returns the number of allocated variables.
 func (s *SAT) NumVars() int { return s.nVars }
 
 // NumClauses returns the number of clauses (problem + learnt).
-func (s *SAT) NumClauses() int { return len(s.clauses) }
+func (s *SAT) NumClauses() int { return s.nClauses }

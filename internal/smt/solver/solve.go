@@ -128,12 +128,12 @@ func (s *Session) SolveAssumingSoft(fixed []Lit, soft [][]Lit) Result {
 	if res.Status == Sat {
 		// Only the last satisfiable trial's model is returned: keep its
 		// assignment and build the model once, at the end.
-		last := slices.Clone(sat.assign)
+		last := slices.Clone(sat.vals)
 		kept := append([]Lit(nil), fixed...)
 		for _, g := range soft {
 			if sat.SolveAssuming(append(kept, g...)...) == Sat {
 				kept = append(kept, g...)
-				last = append(last[:0], sat.assign...)
+				last = append(last[:0], sat.vals...)
 			}
 		}
 		res.Model = s.b.modelOf(last)

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"gauntlet/internal/smt"
 )
 
 // The trajectory tests drive SAT and the reference solver refSAT through
@@ -103,8 +105,77 @@ func sameObservable(got *SAT, want *refSAT) error {
 	return nil
 }
 
+// satView is SAT's arena-backed state in refSAT's shapes: the clause
+// list, clause indices for arena offsets, Lits for literal codes and
+// per-variable values for per-literal ones. Offsets grow with the clause
+// index, so the mapping keeps every order.
+type satView struct {
+	clauses [][]Lit
+	watches [][]int
+	assign  []int8
+	reason  []int
+	trail   []Lit
+}
+
+// lit maps a literal code back to its Lit.
+func lit(c uint32) Lit {
+	if c&1 == 1 {
+		return -Lit(c >> 1)
+	}
+	return Lit(c >> 1)
+}
+
+func viewOf(s *SAT) satView {
+	var v satView
+	var offs []uint32 // offs[i] is clause i's offset
+	for off := 0; off < len(s.arena); off += 1 + int(s.arena[off]) {
+		offs = append(offs, uint32(off))
+		cl := make([]Lit, s.arena[off])
+		for i, c := range s.arena[off+1 : off+1+len(cl)] {
+			cl[i] = lit(c)
+		}
+		v.clauses = append(v.clauses, cl)
+	}
+	// index maps an offset to its clause index, noClause to the
+	// reference's -1 and any other word to -2, which matches nothing.
+	index := func(off uint32) int {
+		if off == noClause {
+			return -1
+		}
+		if i, ok := slices.BinarySearch(offs, off); ok {
+			return i
+		}
+		return -2
+	}
+	for _, ws := range s.watches {
+		w := make([]int, len(ws))
+		for i, off := range ws {
+			w[i] = index(off)
+		}
+		v.watches = append(v.watches, w)
+	}
+	for x := range s.reason {
+		// A variable's two literal codes must hold opposite values, or
+		// both none; 2 matches no reference value.
+		a, neg := s.vals[2*x], unassigned
+		if a != unassigned {
+			neg = 1 - a
+		}
+		if s.vals[2*x+1] != neg {
+			a = 2
+		}
+		v.assign = append(v.assign, a)
+		v.reason = append(v.reason, index(s.reason[x]))
+	}
+	for _, c := range s.trail {
+		v.trail = append(v.trail, lit(c))
+	}
+	return v
+}
+
 // sameSearchState compares the solvers' internal search state.
 func sameSearchState(got *SAT, want *refSAT) error {
+	view := viewOf(got)
 	switch {
 	case got.unsat != want.unsat:
 		return fmt.Errorf("unsat %v, reference %v", got.unsat, want.unsat)
@@ -112,23 +183,23 @@ func sameSearchState(got *SAT, want *refSAT) error {
 		return fmt.Errorf("varInc %v, reference %v", got.varInc, want.varInc)
 	case got.qhead != want.qhead:
 		return fmt.Errorf("qhead %d, reference %d", got.qhead, want.qhead)
-	case !slices.Equal(got.trail, want.trail):
-		return fmt.Errorf("trail %v, reference %v", got.trail, want.trail)
+	case !slices.Equal(view.trail, want.trail):
+		return fmt.Errorf("trail %v, reference %v", view.trail, want.trail)
 	case !slices.Equal(got.trailLim, want.trailLim):
 		return fmt.Errorf("trailLim %v, reference %v", got.trailLim, want.trailLim)
-	case !slices.Equal(got.assign, want.assign):
+	case !slices.Equal(view.assign, want.assign):
 		return fmt.Errorf("assign differs")
 	case !slices.Equal(got.phase, want.phase):
 		return fmt.Errorf("phase differs")
 	case !slices.Equal(got.level, want.level):
 		return fmt.Errorf("level differs")
-	case !slices.Equal(got.reason, want.reason):
+	case !slices.Equal(view.reason, want.reason):
 		return fmt.Errorf("reason differs")
 	case !slices.Equal(got.activity, want.activity):
 		return fmt.Errorf("activity differs")
-	case !slices.EqualFunc(got.clauses, want.clauses, slices.Equal):
+	case !slices.EqualFunc(view.clauses, want.clauses, slices.Equal):
 		return fmt.Errorf("clause database differs")
-	case !slices.EqualFunc(got.watches, want.watches, slices.Equal):
+	case !slices.EqualFunc(view.watches, want.watches, slices.Equal):
 		return fmt.Errorf("watch lists differ")
 	}
 	return nil
@@ -320,6 +391,9 @@ func TestSATTrajectory(t *testing.T) {
 		{"random-3sat-incremental", incremental},
 		{"budgets-end-in-unknown", budgets},
 		{"blasted-descent", descentScript(120)},
+		{"blasted-distributivity-5", distributivityScript(5)},
+		{"blasted-distributivity-6", distributivityScript(6)},
+		{"blasted-distributivity-7", distributivityScript(7)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { runTrajectory(t, c.steps) })
@@ -334,6 +408,17 @@ func TestSATTrajectory(t *testing.T) {
 			runTrajectory(t, randomScript(r))
 		}
 	})
+}
+
+// distributivityScript blasts the miter (a+b)·c ≠ a·c+b·c over w-bit
+// variables and solves it once under a 3000-conflict budget. The
+// multipliers make the search conflict-heavy and its learnt clauses long,
+// so the arena grows by many attaches between the state comparisons.
+func distributivityScript(w int) []step {
+	a, b, c := smt.Var("a", w), smt.Var("b", w), smt.Var("c", w)
+	bl := NewBlaster()
+	bl.Assert(smt.Ne(smt.Mul(smt.Add(a, b), c), smt.Add(smt.Mul(a, c), smt.Mul(b, c))))
+	return append(cnfScript(bl.SAT()), solveStep(3000))
 }
 
 // TestSATTrajectoryRescale crosses the 1e100 activity rescale inside one
@@ -382,7 +467,7 @@ func TestDecideAfterRescaleTies(t *testing.T) {
 		if g == 0 {
 			return
 		}
-		got.enqueue(g, -1)
+		got.enqueue(g.index(), noClause)
 		want.enqueue(g, -1)
 		if g.Var() == 3 {
 			got.varInc, want.varInc = 2e100, 2e100

@@ -2,7 +2,9 @@ package smt_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gauntlet/internal/smt"
@@ -18,7 +20,7 @@ func tapeEval(t *smt.Term, a smt.Assignment) uint64 {
 // randTapeTerm builds a random term over mixed widths, covering every
 // operator the tape compiles, with boolean connectives on top. Width
 // edges (1, 63, 64) are deliberately in the pool.
-func randTapeTerm(r *rand.Rand, sctx *smt.Context, depth, width int) *smt.Term {
+func randTapeTerm(r choices, sctx *smt.Context, depth, width int) *smt.Term {
 	if depth == 0 {
 		switch r.Intn(4) {
 		case 0:
@@ -71,7 +73,7 @@ func randTapeTerm(r *rand.Rand, sctx *smt.Context, depth, width int) *smt.Term {
 
 // randBoolTerm wraps bitvector terms in boolean structure (the miter
 // shape: conjunctions of equalities and comparisons).
-func randBoolTerm(r *rand.Rand, sctx *smt.Context, width int) *smt.Term {
+func randBoolTerm(r choices, sctx *smt.Context, width int) *smt.Term {
 	atom := func() *smt.Term {
 		x := randTapeTerm(r, sctx, 2, width)
 		y := randTapeTerm(r, sctx, 2, width)
@@ -106,15 +108,18 @@ func randAssignment(r *rand.Rand, t *smt.Term) smt.Assignment {
 	return a
 }
 
+// tapeWidths are the term widths the tape's differential checks draw
+// from: 1, the word edges 63 and 64, and widths between.
+var tapeWidths = []int{1, 4, 8, 16, 33, 63, 64}
+
 // TestTapeDifferentialFuzz: for random terms (raw and simplified) and
 // random assignments, the bit-parallel tape must agree with smt.Eval on
 // every one of the 64 lanes.
 func TestTapeDifferentialFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	widths := []int{1, 4, 8, 16, 33, 63, 64}
 	for i := 0; i < 300; i++ {
 		sctx := smt.DefaultContext()
-		w := widths[r.Intn(len(widths))]
+		w := tapeWidths[r.Intn(len(tapeWidths))]
 		var term *smt.Term
 		if i%2 == 0 {
 			term = randTapeTerm(r, sctx, 3, w)
@@ -144,6 +149,75 @@ func TestTapeDifferentialFuzz(t *testing.T) {
 		}
 		tp.Release(e)
 	}
+}
+
+// fuzzWords is fuzzBytes with whole words: Uint64 takes the next eight
+// bytes, little-endian, so constants and lane values reach every bit of
+// a 64-bit width.
+type fuzzWords struct{ fuzzBytes }
+
+func (b *fuzzWords) Uint64() uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v |= b.fuzzBytes.Uint64() << (8 * i)
+	}
+	return v
+}
+
+// FuzzTape is TestTapeDifferentialFuzz over fuzz input: the bytes pick a
+// width from tapeWidths, then decode to a bitvector or boolean term,
+// perhaps simplified, and to an assignment per lane, its variables in
+// name order. Every lane of the compiled tape must equal smt.Eval, and
+// an assignment Falsify returns for a boolean term must evaluate to 0.
+// Each input builds in a context of its own. The seeds under
+// testdata/fuzz/FuzzTape are the choices rand.NewSource(11), the
+// differential test's source, makes through this decoding: per width,
+// the first bitvector term and the first boolean term that are not
+// constants.
+func FuzzTape(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		src := &fuzzWords{fuzzBytes(data)}
+		sctx := smt.NewContext()
+		w := tapeWidths[src.Intn(len(tapeWidths))]
+		var term *smt.Term
+		if src.Intn(2) == 0 {
+			term = randTapeTerm(src, sctx, 3, w)
+		} else {
+			term = randBoolTerm(src, sctx, w)
+		}
+		if src.Intn(3) == 0 {
+			term = smt.Simplify(term)
+		}
+		if term.Op == smt.OpConst {
+			return
+		}
+		widths := map[string]int{}
+		term.Vars(widths)
+		names := slices.Sorted(maps.Keys(widths))
+		tp := smt.CompileTape(term)
+		e := tp.Exec()
+		defer tp.Release(e)
+		lanes := make([]smt.Assignment, 64)
+		for l := range lanes {
+			lanes[l] = smt.Assignment{}
+			for _, n := range names {
+				lanes[l][n] = src.Uint64()
+			}
+			e.SetLane(l, lanes[l])
+		}
+		e.Run()
+		for l, a := range lanes {
+			if got, want := e.RootLane(0, l), smt.Eval(term, a); got != want {
+				t.Fatalf("lane %d: tape=%d eval=%d for %s under %v", l, got, want, term, a)
+			}
+		}
+		if term.IsBool() {
+			seed := src.Uint64()
+			if a, _, ok := tp.Falsify(seed, 1+src.Intn(4)); ok && smt.Eval(term, a) != 0 {
+				t.Fatalf("Falsify(%d) returned %v, under which %s evaluates to %d", seed, a, term, smt.Eval(term, a))
+			}
+		}
+	})
 }
 
 // TestWidthEdgeSemantics pins the shared width discipline of Eval and the
