@@ -1,7 +1,8 @@
 // Benchmark harness: one bench per table and figure of the paper's
 // evaluation, plus single-layer micro-benchmarks (warm validation, the
-// §5.2 pipeline rate, generation, compile, one equivalence query, and the
-// one query that exhausts the conflict budget).
+// §5.2 pipeline rate, generation, compile and one equivalence query; the
+// one query that exhausts the conflict budget is benchmarked beside the
+// solver, in internal/smt/solver).
 // Benches print their artifact once, then measure the regeneration cost;
 // Figure 5, §8 and the §6.2 ablation also fail on a wrong result. Speed
 // claims come from the pinned workloads in bench/ instead
@@ -9,7 +10,6 @@
 package gauntlet_test
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -18,7 +18,6 @@ import (
 	"gauntlet/internal/compiler"
 	"gauntlet/internal/core"
 	"gauntlet/internal/generator"
-	"gauntlet/internal/p4/ast"
 	"gauntlet/internal/p4/parser"
 	"gauntlet/internal/p4/printer"
 	"gauntlet/internal/p4/types"
@@ -313,114 +312,6 @@ func BenchmarkEquivalenceQuery(b *testing.B) {
 			b.Fatal("self-equivalence must be unsat")
 		}
 	}
-}
-
-// budgetedQuerySeed is the v1model generator seed whose validation ends in
-// a query that exhausts the default conflict budget. It is slot 1000189
-// of bench/'s tv-campaign, where that one query is the run's tail.
-const budgetedQuerySeed = 1000189
-
-// blockName returns the name of a parser or control, the blocks
-// translation validation compares, and "" for any other declaration.
-func blockName(d ast.Decl) string {
-	switch d := d.(type) {
-	case *ast.ControlDecl:
-		return d.Name
-	case *ast.ParserDecl:
-		return d.Name
-	}
-	return ""
-}
-
-// cdclQueries compiles a generated program with the engine's reference
-// pipeline and returns the equivalence queries of its validation that
-// reach CDCL, in validation order. It walks the snapshots the way
-// validate.Snapshots does and drops every query an earlier tier answers:
-// a miter that simplifies to true, a repeat of an earlier miter (the
-// verdict cache) and a miter the concrete tape falsifies. The cache keeps
-// no Unknown verdict, so a repeat of a miter that ended Unknown would
-// reach CDCL again; the seed benchmarked here has no repeats.
-func cdclQueries(b *testing.B, seed int64) []*smt.Term {
-	passes, err := core.Pipeline(bugs.BMv2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := compiler.New(passes...).Compile(generator.Generate(generator.DefaultConfig(seed)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	forms := func(prog *ast.Program) map[string]*sym.Block {
-		out := map[string]*sym.Block{}
-		for _, d := range prog.Decls {
-			var blk *sym.Block
-			var err error
-			switch d := d.(type) {
-			case *ast.ControlDecl:
-				blk, err = sym.ExecControl(prog, d)
-			case *ast.ParserDecl:
-				blk, err = sym.ExecParser(prog, d)
-			default:
-				continue
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			out[blockName(d)] = blk
-		}
-		return out
-	}
-	var queries []*smt.Term
-	seen := map[uint64]bool{}
-	prev, prevHash := forms(res.Snapshots[0].Prog), res.Snapshots[0].Hash
-	for _, snap := range res.Snapshots[1:] {
-		if snap.Hash == prevHash {
-			continue
-		}
-		cur := forms(snap.Prog)
-		for _, d := range snap.Prog.Decls {
-			name := blockName(d)
-			a, ok := prev[name]
-			if !ok {
-				continue
-			}
-			eq := sym.Equivalent(a, cur[name])
-			if eq.IsTrue() || seen[eq.ID()] {
-				continue
-			}
-			seen[eq.ID()] = true
-			if _, _, falsified := smt.CompileTape(eq).Falsify(0, validate.DefaultConcolicRounds); falsified {
-				continue
-			}
-			queries = append(queries, eq)
-		}
-		prev, prevHash = cur, snap.Hash
-	}
-	return queries
-}
-
-// BenchmarkEquivalenceQueryBudgeted measures the one equivalence query of
-// budgetedQuerySeed's validation that reaches CDCL, under the engine's
-// default budget of 20000 conflicts. It is the CDCL core's critical path
-// on tv-campaign: the query ends Unknown at the budget. Each op is the
-// call solver.EquivalentContext makes, SolveContext on miter ≠ true,
-// which also reports the conflict count. The bench fails on any verdict
-// but Unknown and reports conflicts per op.
-func BenchmarkEquivalenceQueryBudgeted(b *testing.B) {
-	queries := cdclQueries(b, budgetedQuerySeed)
-	if len(queries) != 1 {
-		b.Fatalf("seed %d: %d queries reach CDCL, want 1", budgetedQuerySeed, len(queries))
-	}
-	miter := smt.Ne(queries[0], smt.True)
-	conflicts := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := solver.SolveContext(context.Background(), 20000, miter)
-		if res.Status != solver.Unknown {
-			b.Fatalf("verdict %v, want unknown at the budget", res.Status)
-		}
-		conflicts += res.Conflicts
-	}
-	b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts/op")
 }
 
 // BenchmarkSymbolicExecutionTests measures Figure 4's test generation +

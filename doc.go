@@ -214,7 +214,10 @@
 //     carried across queries. Path enumeration and the §6.2 preference
 //     steering cost one incremental query per decision instead of a full
 //     re-blast. (Equivalence queries deliberately stay one-shot: their
-//     circuits overlap too little for session reuse to pay.)
+//     circuits overlap too little for session reuse to pay.) A
+//     feasibility probe calls Session.Check, which returns the verdict
+//     without building a model, and SolveAssumingSoft runs all its trials
+//     in one assumption buffer.
 //   - A same-trajectory CDCL core. Test packets are SAT models, so the
 //     search itself is fixed: every decision, propagation, learnt
 //     clause, conflict count and model equals that of a verbatim copy of
@@ -226,9 +229,19 @@
 //     by literal code, so a watch visit reads the clause's words with one
 //     dependent load and a literal's value with one more. analyze learns
 //     into a reused buffer, so a conflict allocates only when the arena
-//     grows. BenchmarkEquivalenceQueryBudgeted times the one equivalence
-//     query that exhausts the default budget at the end of bench/'s
-//     tv-campaign.
+//     grows. Session.Close resets its blaster and SAT and hands them to
+//     a sync.Pool that NewSession draws from: the maps are cleared and
+//     every array is truncated to length 0, so a recycled SAT is the zero
+//     solver on grown storage, and the trajectory tests run every script
+//     on one. BenchmarkEquivalenceQueryBudgeted (internal/smt/solver)
+//     times the one equivalence query that exhausts the default budget
+//     at the end of bench/'s tv-campaign.
+//   - A streaming parser. Compile re-parses the program every rewriting
+//     pass emits (§5.2). parser.Parse pulls tokens from the lexer
+//     through a four-slot lookahead ring instead of scanning the whole
+//     source into a token slice first; after a syntax error it scans the
+//     rest of the source, so a lexical error anywhere still wins, as it
+//     did when scanning came first.
 //   - Validation caching. validate.Cache memoizes block formulas (keyed
 //     by printed source) and equivalence verdicts (keyed by simplified
 //     term ID); core.Campaign and core.Engine share one cache across all

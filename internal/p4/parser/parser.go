@@ -26,13 +26,9 @@ func (e *Error) Error() string { return fmt.Sprintf("%s: syntax error: %s", e.Po
 
 // Parse parses a complete program from source text.
 func Parse(src string) (*ast.Program, error) {
-	toks, lerrs := lexer.ScanAll(src)
-	if len(lerrs) > 0 {
-		return nil, &Error{Pos: lerrs[0].Pos, Msg: lerrs[0].Msg}
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	prog, err := p.program()
-	if err != nil {
+	if err = p.finish(err); err != nil {
 		return nil, err
 	}
 	return prog, nil
@@ -40,38 +36,62 @@ func Parse(src string) (*ast.Program, error) {
 
 // ParseExpr parses a single expression (used by tests and tools).
 func ParseExpr(src string) (ast.Expr, error) {
-	toks, lerrs := lexer.ScanAll(src)
-	if len(lerrs) > 0 {
-		return nil, &Error{Pos: lerrs[0].Pos, Msg: lerrs[0].Msg}
-	}
-	p := &parser{toks: toks}
+	p := newParser(src)
 	e, err := p.expr()
-	if err != nil {
-		return nil, err
+	if err == nil && p.peek().Kind != token.EOF {
+		err = p.errorf("unexpected %s after expression", p.peek())
 	}
-	if p.peek().Kind != token.EOF {
-		return nil, p.errorf("unexpected %s after expression", p.peek())
+	if err = p.finish(err); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
 
+// parser pulls tokens from the lexer on demand. The grammar looks at most
+// two tokens past the current one, so a four-slot ring holds every token
+// the parser can see: ring[head] is the current token and the n buffered
+// ones follow it.
 type parser struct {
-	toks []token.Token
-	pos  int
+	lex  *lexer.Lexer
+	ring [4]token.Token
+	head int
+	n    int
 }
 
-func (p *parser) peek() token.Token { return p.toks[p.pos] }
-func (p *parser) peekN(n int) token.Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+func newParser(src string) *parser { return &parser{lex: lexer.New(src)} }
+
+// finish settles a parse's error: a lexical error anywhere in the source
+// wins over the syntax error err, so the rest of the source is scanned
+// first when the parse stopped early. The lexer returns EOF again once it
+// has reached the end, so scanning on is safe whatever was buffered.
+func (p *parser) finish(err error) error {
+	if err != nil {
+		for p.lex.Next().Kind != token.EOF {
+		}
 	}
-	return p.toks[p.pos+n]
+	if lerrs := p.lex.Errors(); len(lerrs) > 0 {
+		return &Error{Pos: lerrs[0].Pos, Msg: lerrs[0].Msg}
+	}
+	return err
+}
+
+func (p *parser) peek() token.Token { return p.peekN(0) }
+
+// peekN returns the token n places past the current one, n < len(ring);
+// past the end of the source every token is EOF.
+func (p *parser) peekN(n int) token.Token {
+	for p.n <= n {
+		p.ring[(p.head+p.n)&3] = p.lex.Next()
+		p.n++
+	}
+	return p.ring[(p.head+n)&3]
 }
 
 func (p *parser) next() token.Token {
-	t := p.toks[p.pos]
+	t := p.peek()
 	if t.Kind != token.EOF {
-		p.pos++
+		p.head = (p.head + 1) & 3
+		p.n--
 	}
 	return t
 }

@@ -163,6 +163,27 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestLexicalErrorWins checks that a lexical error is reported even when
+// a syntax error comes before it in the source: the parser pulls tokens
+// lazily and stops at the syntax error, but must report what scanning the
+// whole source first would have.
+func TestLexicalErrorWins(t *testing.T) {
+	for _, c := range []struct {
+		src, want string
+	}{
+		{"header H { bit<8> a }\ncontrol c() { apply { x = $; } }", "2:27: syntax error: illegal character '$'"},
+		{"control c() { apply { 1 = x; } } /* open", "1:34: syntax error: unterminated block comment"},
+		{"header H { bit<8> a; } junk #", "1:29: syntax error: illegal character '#'"},
+	} {
+		if _, err := parser.Parse(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+	if _, err := parser.ParseExpr("(a + ) ` b"); err == nil || err.Error() != "1:8: syntax error: illegal character '`'" {
+		t.Errorf("ParseExpr: %v, want the lexer's error", err)
+	}
+}
+
 func TestTypeErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"gauntlet/internal/smt"
@@ -54,19 +55,45 @@ type Blaster struct {
 	gateReuse uint64
 }
 
-// NewBlaster creates a blaster over a fresh SAT instance.
+// blasters holds the blasters, each with its SAT, of closed sessions,
+// reset, for NewBlaster to reuse.
+var blasters sync.Pool
+
+// NewBlaster creates a blaster over a fresh SAT instance. It takes a
+// closed session's blaster from the pool when there is one: reset has
+// cleared its maps and returned its SAT to the zero solver, so it blasts
+// and solves exactly as a new one would, on storage already grown.
 func NewBlaster() *Blaster {
-	b := &Blaster{
-		sat:     &SAT{},
-		cacheBV: map[*smt.Term][]Lit{},
-		cacheB:  map[*smt.Term]Lit{},
-		vars:    map[string][]Lit{},
-		gates:   map[gateKey]Lit{},
+	b, _ := blasters.Get().(*Blaster)
+	if b == nil {
+		b = &Blaster{
+			sat:     &SAT{},
+			cacheBV: map[*smt.Term][]Lit{},
+			cacheB:  map[*smt.Term]Lit{},
+			vars:    map[string][]Lit{},
+			gates:   map[gateKey]Lit{},
+		}
 	}
-	t := Lit(b.sat.NewVar())
-	b.sat.AddClause(t)
-	b.lTrue = t
+	return b.init()
+}
+
+// init gives a new or reset blaster its first variable, the constant true.
+func (b *Blaster) init() *Blaster {
+	b.lTrue = b.fresh()
+	b.sat.AddClause(b.lTrue)
 	return b
+}
+
+// reset empties the blaster for reuse: the four maps are cleared, so a
+// pooled blaster holds no term of the session it served, and the SAT
+// becomes the zero solver. The maps and arrays keep their storage.
+func (b *Blaster) reset() {
+	clear(b.cacheBV)
+	clear(b.cacheB)
+	clear(b.vars)
+	clear(b.gates)
+	b.lTrue, b.gateBuilt, b.gateReuse = 0, 0, 0
+	b.sat.reset()
 }
 
 // SAT exposes the underlying solver (for budgets and statistics).

@@ -3,6 +3,7 @@ package solver
 import (
 	"maps"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,14 +13,13 @@ import (
 // descentFormula blasts a formula shaped like test generation's: packet
 // fields through a few arithmetic stages, parser-style base constraints,
 // branch conditions and preference literals (non-zero, upper half of the
-// range). It returns the session with the condition and preference
-// literals; nothing has been solved yet.
-func descentFormula() (sess *Session, conds, prefs []Lit) {
+// range) on sess. It returns the condition and preference literals;
+// nothing has been solved yet.
+func descentFormula(sess *Session) (conds, prefs []Lit) {
 	k := smt.Const
 	a, b := smt.Var("pkt.a", 32), smt.Var("pkt.b", 32)
 	c, d := smt.Var("pkt.c", 16), smt.Var("pkt.d", 16)
 	e, f := smt.Var("pkt.e", 8), smt.Var("pkt.f", 8)
-	sess = NewSession(0)
 	sess.Assert(smt.Ne(e, k(0xff, 8)), smt.Ult(c, k(0x9000, 16)))
 	for _, cond := range []*smt.Term{
 		smt.Eq(smt.Add(a, b), k(0x12345678, 32)),
@@ -40,7 +40,7 @@ func descentFormula() (sess *Session, conds, prefs []Lit) {
 			sess.Lit(smt.Ne(x, k(0, x.W))),
 			sess.Lit(smt.Uge(x, k(1<<uint(x.W-1), x.W))))
 	}
-	return sess, conds, prefs
+	return conds, prefs
 }
 
 // descent enumerates branch polarities depth-first the way test
@@ -103,7 +103,8 @@ func cnfScript(sat *SAT) []step {
 // descentScript replays descentFormula's CNF and maxCalls descent solves
 // as a trajectory script. The solves follow the verdicts SAT gives.
 func descentScript(maxCalls int) []step {
-	sess, conds, prefs := descentFormula()
+	sess := NewSession(0)
+	conds, prefs := descentFormula(sess)
 	sat := sess.b.SAT()
 	steps := cnfScript(sat)
 	descent(func(assumps []Lit) Status {
@@ -117,8 +118,9 @@ func descentScript(maxCalls int) []step {
 // one model from the last satisfiable trial, returns what building a
 // model after every trial would: the same status, conflicts and model.
 func TestSolveAssumingSoftModel(t *testing.T) {
-	got, conds, prefs := descentFormula()
-	want, _, _ := descentFormula()
+	got, want := NewSession(0), NewSession(0)
+	conds, prefs := descentFormula(got)
+	descentFormula(want)
 	groups := make([][]Lit, len(prefs))
 	for i, p := range prefs {
 		groups[i] = []Lit{p}
@@ -145,21 +147,102 @@ func TestSolveAssumingSoftModel(t *testing.T) {
 }
 
 // BenchmarkSolveAssumingDescent measures the solver as test generation
-// drives it: one blasted formula, then about 200 SolveAssuming calls under
-// assumptions that descend a path tree, each Sat one extracting a model.
-// It reports ns/call over the solves alone; blasting is excluded.
+// drives it: one blasted formula, then about 200 status-only calls under
+// assumptions that descend a path tree, on a session that a closed one
+// hands its storage to. It reports ns/call over the solves alone;
+// blasting is excluded.
 func BenchmarkSolveAssumingDescent(b *testing.B) {
 	const maxCalls = 200
 	var solving time.Duration
 	calls := 0
+	b.ReportAllocs()
 	for b.Loop() {
-		sess, conds, prefs := descentFormula()
+		sess := NewSession(0)
+		conds, prefs := descentFormula(sess)
 		start := time.Now()
 		calls += descent(func(assumps []Lit) Status {
-			return sess.SolveAssuming(assumps...).Status
+			return sess.Check(assumps...)
 		}, conds, prefs, maxCalls)
 		solving += time.Since(start)
+		sess.Close()
 	}
 	b.ReportMetric(float64(solving.Nanoseconds())/float64(calls), "ns/call")
 	b.ReportMetric(float64(calls)/float64(b.N), "calls/op")
+}
+
+// TestRecycledSessionDescent runs the descent on a new session and on a
+// recycled one, whose storage first searched a distributivity miter and
+// was then reset: blasting must give the same literals and every call the
+// same Result, status, conflicts and model.
+func TestRecycledSessionDescent(t *testing.T) {
+	used := NewSession(3000)
+	x, y, z := smt.Var("x", 6), smt.Var("y", 6), smt.Var("z", 6)
+	used.Assert(smt.Ne(smt.Mul(smt.Add(x, y), z), smt.Add(smt.Mul(x, z), smt.Mul(y, z))))
+	used.Solve()
+	var results [2][]Result
+	var lits [2][]Lit
+	EmptyPool()
+	for i, sess := range []*Session{NewSession(0), Recycled(used, 0)} {
+		conds, prefs := descentFormula(sess)
+		lits[i] = append(conds, prefs...)
+		descent(func(assumps []Lit) Status {
+			res := sess.SolveAssuming(assumps...)
+			results[i] = append(results[i], res)
+			return res.Status
+		}, conds, prefs, 200)
+	}
+	if !slices.Equal(lits[0], lits[1]) {
+		t.Fatalf("recycled session blasted literals %v, new session %v", lits[1], lits[0])
+	}
+	if len(results[0]) != len(results[1]) {
+		t.Fatalf("recycled session made %d calls, new session %d", len(results[1]), len(results[0]))
+	}
+	for i, want := range results[0] {
+		got := results[1][i]
+		if got.Status != want.Status || got.Conflicts != want.Conflicts || !maps.Equal(got.Model, want.Model) {
+			t.Fatalf("call %d: recycled session %+v, new session %+v", i, got, want)
+		}
+	}
+}
+
+// TestSessionsConcurrent runs the descent on sessions that goroutines
+// open and close at the same time, so pooled storage passes between
+// them; every run must return the results of a run alone. Run it with
+// -race.
+func TestSessionsConcurrent(t *testing.T) {
+	run := func() []Result {
+		sess := NewSession(0)
+		defer sess.Close()
+		conds, prefs := descentFormula(sess)
+		var out []Result
+		descent(func(assumps []Lit) Status {
+			res := sess.SolveAssuming(assumps...)
+			out = append(out, res)
+			return res.Status
+		}, conds, prefs, 60)
+		return out
+	}
+	want := run()
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				got := run()
+				if !slices.EqualFunc(got, want, func(a, b Result) bool {
+					return a.Status == b.Status && a.Conflicts == b.Conflicts && maps.Equal(a.Model, b.Model)
+				}) {
+					errs <- "a concurrent run's results differ from a run alone"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

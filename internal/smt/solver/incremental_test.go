@@ -136,8 +136,8 @@ func TestSessionSurvivesUnsatAssumptions(t *testing.T) {
 	sess.Assert(smt.Ult(x, smt.Const(10, 8)))
 
 	bad := sess.Lit(smt.Eq(x, smt.Const(99, 8)))
-	if got := sess.SolveAssuming(bad); got.Status != solver.Unsat {
-		t.Fatalf("contradictory assumption: got %v, want unsat", got.Status)
+	if got := sess.Check(bad); got != solver.Unsat {
+		t.Fatalf("contradictory assumption: got %v, want unsat", got)
 	}
 	good := sess.Lit(smt.Eq(x, smt.Const(7, 8)))
 	res := sess.SolveAssuming(good)
@@ -164,18 +164,18 @@ func TestAssumptionOrderIndependence(t *testing.T) {
 	sess.Assert(smt.Ult(x, y))
 	a := sess.Lit(smt.Eq(x, smt.Const(3, 8)))
 	b := sess.Lit(smt.Eq(y, smt.Const(200, 8)))
-	if got := sess.SolveAssuming(a, b); got.Status != solver.Sat {
-		t.Fatalf("a,b: %v", got.Status)
+	if got := sess.Check(a, b); got != solver.Sat {
+		t.Fatalf("a,b: %v", got)
 	}
-	if got := sess.SolveAssuming(b, a); got.Status != solver.Sat {
-		t.Fatalf("b,a: %v", got.Status)
+	if got := sess.Check(b, a); got != solver.Sat {
+		t.Fatalf("b,a: %v", got)
 	}
 	c := sess.Lit(smt.Eq(y, smt.Const(2, 8)))
-	if got := sess.SolveAssuming(a, c); got.Status != solver.Unsat {
-		t.Fatalf("x=3 ∧ y=2 ∧ x<y should be unsat, got %v", got.Status)
+	if got := sess.Check(a, c); got != solver.Unsat {
+		t.Fatalf("x=3 ∧ y=2 ∧ x<y should be unsat, got %v", got)
 	}
-	if got := sess.SolveAssuming(c, a); got.Status != solver.Unsat {
-		t.Fatalf("order flipped: %v", got.Status)
+	if got := sess.Check(c, a); got != solver.Unsat {
+		t.Fatalf("order flipped: %v", got)
 	}
 }
 
@@ -188,8 +188,7 @@ func TestIncrementalConflictBudgetPerQuery(t *testing.T) {
 	// Run several queries; with a per-session budget the later ones
 	// would all be Unknown even when trivially decidable.
 	for i := 0; i < 5; i++ {
-		res := sess.SolveAssuming(sess.Lit(smt.Eq(x, smt.Const(uint64(i), 8))))
-		if res.Status == solver.Unknown {
+		if sess.Check(sess.Lit(smt.Eq(x, smt.Const(uint64(i), 8)))) == solver.Unknown {
 			// Budget exhaustion on such a tiny query means the budget
 			// leaked across queries.
 			t.Fatalf("query %d returned Unknown under a per-query budget", i)

@@ -45,6 +45,15 @@
 // copies into the arena, so a conflict allocates only when the arena or
 // a watch list grows. Growing may move the arena: no sub-slice of it is
 // held across an attach.
+//
+// A closed Session's SAT is reused (see Session.Close), and reuse keeps
+// the contract too. reset truncates every array, inner watch lists
+// included, to length 0 and zeroes every other field, so the reset SAT
+// is the zero SAT with spare capacity. The search reads an array only
+// below its length, which NewVar, AddClause and attach grow by appending
+// exactly what they append to an empty array; capacity decides only
+// whether an append allocates. A reset SAT therefore makes every step a
+// new one makes, and the trajectory tests run every script on both.
 package solver
 
 import (
@@ -181,7 +190,7 @@ func (s *SAT) NewVar() int {
 		s.phase = append(s.phase, 0)
 		s.activity = append(s.activity, 0)
 		s.seen = append(s.seen, false)
-		s.watches = append(s.watches, nil, nil)
+		s.addWatchLists()
 		s.orderPos = append(s.orderPos, -1)
 		s.rankOf = append(s.rankOf, 0)
 		s.stamp = append(s.stamp, 0, 0)
@@ -193,7 +202,7 @@ func (s *SAT) NewVar() int {
 	s.phase = append(s.phase, 0)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.addWatchLists()
 	s.orderPos = append(s.orderPos, -1)
 	s.rankOf = append(s.rankOf, len(s.ranked))
 	s.stamp = append(s.stamp, 0, 0)
@@ -206,6 +215,52 @@ func (s *SAT) NewVar() int {
 	}
 	return s.nVars
 }
+
+// addWatchLists appends the watch lists of a new variable's two literal
+// codes. Lists a reset left past the end are taken back, empty but with
+// their storage.
+func (s *SAT) addWatchLists() {
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+		return
+	}
+	s.watches = append(s.watches, nil, nil)
+}
+
+// reset returns s to the zero SAT, keeping the storage of its arrays,
+// inner watch lists included, for the variables and clauses of the next
+// instance. Every array is truncated to length 0, so the next NewVar or
+// attach appends exactly what it would append to an empty one.
+func (s *SAT) reset() {
+	ws := s.watches[:cap(s.watches)]
+	for i := range ws {
+		ws[i] = ws[i][:0]
+	}
+	*s = SAT{
+		arena:    s.arena[:0],
+		watches:  ws[:0],
+		vals:     s.vals[:0],
+		level:    s.level[:0],
+		reason:   s.reason[:0],
+		phase:    s.phase[:0],
+		activity: s.activity[:0],
+		trail:    s.trail[:0],
+		trailLim: s.trailLim[:0],
+		ranked:   s.ranked[:0],
+		rankOf:   s.rankOf[:0],
+		order:    s.order[:0],
+		orderPos: s.orderPos[:0],
+		seen:     s.seen[:0],
+		lits:     s.lits[:0],
+		stamp:    s.stamp[:0],
+	}
+}
+
+// badLit panics on a literal of no allocated variable. AddClause and
+// SolveAssuming check every literal: code 1 is variable 0's padding and
+// reads as unassigned, so an unchecked 0 assumption would be decided at
+// the same level forever.
+func badLit(l Lit) { panic(fmt.Sprintf("sat: bad literal %d", l)) }
 
 // AddClause adds a clause of literals. Empty clauses (or clauses that
 // simplify to empty) make the instance trivially unsatisfiable. Adding
@@ -226,8 +281,8 @@ func (s *SAT) AddClause(lits ...Lit) {
 	// Simplify: drop duplicate/false literals, detect tautologies.
 	s.lits = s.lits[:0]
 	for _, l := range lits {
-		if l.Var() > s.nVars || l == 0 {
-			panic(fmt.Sprintf("sat: bad literal %d", l))
+		if l == 0 || l.Var() > s.nVars {
+			badLit(l)
 		}
 		c := l.index()
 		if s.stamp[c] == s.stampGen {
@@ -629,7 +684,14 @@ func (s *SAT) Solve() Status {
 // the assumptions" — the clause database is untouched, so a later call
 // with different assumptions can still be Sat. This is how soft
 // preference constraints are decided without re-blasting the formula.
+// Every assumption must be a literal of an allocated variable, as for
+// AddClause.
 func (s *SAT) SolveAssuming(assumps ...Lit) Status {
+	for _, l := range assumps {
+		if l == 0 || l.Var() > s.nVars {
+			badLit(l)
+		}
+	}
 	if s.unsat {
 		return Unsat
 	}

@@ -20,6 +20,7 @@ type Result struct {
 // satisfiable. maxConflicts bounds the search (0 = unbounded).
 func Solve(maxConflicts int, assertions ...*smt.Term) Result {
 	s := NewSession(maxConflicts)
+	defer s.Close()
 	s.Assert(assertions...)
 	return s.Solve()
 }
@@ -30,6 +31,7 @@ func Solve(maxConflicts int, assertions ...*smt.Term) Result {
 // Unknown instead of hanging the query.
 func SolveContext(ctx context.Context, maxConflicts int, assertions ...*smt.Term) Result {
 	s := NewSessionContext(ctx, maxConflicts)
+	defer s.Close()
 	s.Assert(assertions...)
 	return s.Solve()
 }
@@ -51,8 +53,22 @@ func stopFor(ctx context.Context) func() bool {
 // conditions under SAT assumptions instead of rebuilding the CNF. Learnt
 // clauses, activities and phases persist across queries, which is what
 // makes path enumeration and soft-preference search fast.
+//
+// Close hands the blaster and its SAT instance to the next session, so
+// a process that solves many small formulas, one session each, stops
+// allocating solver arrays once they have grown. A reset instance is the
+// zero solver on old storage: it makes every step a new one would make.
 type Session struct {
 	b *Blaster
+}
+
+// Close ends the session and resets its blaster and SAT instance for
+// reuse by a later NewSession. The session must not be used afterwards;
+// what it returned stays valid, since every model is a map of its own.
+func (s *Session) Close() {
+	s.b.reset()
+	blasters.Put(s.b)
+	s.b = nil
 }
 
 // NewSession creates a session with the given per-query conflict budget
@@ -106,6 +122,11 @@ func (s *Session) SolveAssuming(assumps ...Lit) Result {
 	return res
 }
 
+// Check decides the asserted constraints under the assumptions as
+// SolveAssuming does and returns the verdict alone, without building a
+// model: the call for feasibility probes.
+func (s *Session) Check(assumps ...Lit) Status { return s.b.sat.SolveAssuming(assumps...) }
+
 // BVLits encodes a bitvector term and returns its bit literals (LSB
 // first) without asserting anything. The literals can pin the term to a
 // concrete value purely through assumptions — no new clauses per query.
@@ -129,10 +150,18 @@ func (s *Session) SolveAssumingSoft(fixed []Lit, soft [][]Lit) Result {
 		// Only the last satisfiable trial's model is returned: keep its
 		// assignment and build the model once, at the end.
 		last := slices.Clone(sat.vals)
-		kept := append([]Lit(nil), fixed...)
+		// One buffer holds every trial: the kept groups, then the group
+		// on trial, which the next trial overwrites unless it is kept.
+		n := len(fixed)
 		for _, g := range soft {
-			if sat.SolveAssuming(append(kept, g...)...) == Sat {
-				kept = append(kept, g...)
+			n += len(g)
+		}
+		trial := append(make([]Lit, 0, n), fixed...)
+		kept := len(trial)
+		for _, g := range soft {
+			trial = append(trial[:kept], g...)
+			if sat.SolveAssuming(trial...) == Sat {
+				kept = len(trial)
 				last = append(last[:0], sat.vals...)
 			}
 		}
@@ -189,6 +218,7 @@ func SolvePreferNonZero(maxConflicts int, prefer []string, assertions ...*smt.Te
 // whole base formula.
 func SolveWithPreferences(maxConflicts int, prefs []*smt.Term, assertions ...*smt.Term) Result {
 	s := NewSession(maxConflicts)
+	defer s.Close()
 	s.Assert(assertions...)
 	res := s.Solve()
 	if res.Status != Sat || len(prefs) == 0 {

@@ -1,9 +1,11 @@
 package solver_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"gauntlet/internal/smt"
 	"gauntlet/internal/smt/solver"
@@ -48,6 +50,31 @@ func TestSATEmptyClause(t *testing.T) {
 
 // TestSATPigeonhole exercises clause learning on PHP(n+1, n), a classic
 // hard unsatisfiable family.
+// TestSolveAssumingBadLiteral checks that SolveAssuming rejects an
+// assumption of no allocated variable as AddClause rejects such a clause
+// literal. Literal 0 used to be decided at one level forever, so a
+// watchdog turns a regression into a failure instead of a hang.
+func TestSolveAssumingBadLiteral(t *testing.T) {
+	for _, l := range []solver.Lit{0, 3, -3} {
+		s := &solver.SAT{MaxConflicts: 10}
+		x, y := solver.Lit(s.NewVar()), solver.Lit(s.NewVar())
+		s.AddClause(x, y)
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			s.SolveAssuming(x.Neg(), l)
+		}()
+		select {
+		case r := <-done:
+			if want := fmt.Sprintf("sat: bad literal %d", l); r != want {
+				t.Errorf("SolveAssuming(%d, %d) panicked with %v, want %q", x.Neg(), l, r, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("SolveAssuming(%d, %d) still running after 10s", x.Neg(), l)
+		}
+	}
+}
+
 func TestSATPigeonhole(t *testing.T) {
 	const holes = 5
 	const pigeons = holes + 1

@@ -15,7 +15,7 @@ import (
 // call: the same status, conflict count, clause database (literal order
 // included), watch lists, activities, trail and model. Equal state after
 // every call means equal decisions, propagations and learnt clauses in
-// between.
+// between. Every script runs on a new SAT and on a reset one.
 
 type stepOp uint8
 
@@ -50,16 +50,35 @@ type solveRecord struct {
 }
 
 // runTrajectory runs steps on both solvers and fails at the first
-// divergence. It returns SAT's record of each solve step.
+// divergence. It runs them twice: on a new SAT and on a recycled one, a
+// SAT that ran recycledScript and was then reset, which must behave as
+// the zero SAT. It returns the new SAT's record of each solve step.
 func runTrajectory(tb testing.TB, steps []step) []solveRecord {
 	tb.Helper()
-	got, want := &SAT{}, &refSAT{}
+	recs := runTrajectoryOn(tb, "new SAT", &SAT{}, steps)
+	recycled := &SAT{}
+	runTrajectoryOn(tb, "SAT to recycle", recycled, recycledScript)
+	recycled.reset()
+	runTrajectoryOn(tb, "recycled SAT", recycled, steps)
+	return recs
+}
+
+// recycledScript leaves a SAT far from the zero one: learnt clauses,
+// bumped activities in the decision heap, saved phases, a conflict count
+// and a budget, and a trail above the root, where a budgeted search of
+// an unsatisfiable pigeonhole instance stops.
+var recycledScript = append(append(newVars(30), pigeonhole(1, 6, 5)...), solveStep(20))
+
+// runTrajectoryOn runs steps on got and a new refSAT.
+func runTrajectoryOn(tb testing.TB, on string, got *SAT, steps []step) []solveRecord {
+	tb.Helper()
+	want := &refSAT{}
 	var recs []solveRecord
 	for i, st := range steps {
 		switch st.op {
 		case opNewVar:
 			if g, w := got.NewVar(), want.NewVar(); g != w {
-				tb.Fatalf("step %d %v: NewVar = %d, reference %d", i, st, g, w)
+				tb.Fatalf("%s, step %d %v: NewVar = %d, reference %d", on, i, st, g, w)
 			}
 		case opClause:
 			got.AddClause(st.lits...)
@@ -69,16 +88,16 @@ func runTrajectory(tb testing.TB, steps []step) []solveRecord {
 			got.MaxConflicts, want.MaxConflicts = st.budget, st.budget
 			g, w := got.SolveAssuming(st.lits...), want.SolveAssuming(st.lits...)
 			if g != w {
-				tb.Fatalf("step %d %v: status %v, reference %v", i, st, g, w)
+				tb.Fatalf("%s, step %d %v: status %v, reference %v", on, i, st, g, w)
 			}
 			recs = append(recs, solveRecord{got.Conflicts - before, got.varInc})
 		}
 		if err := sameObservable(got, want); err != nil {
-			tb.Fatalf("step %d %v: %v", i, st, err)
+			tb.Fatalf("%s, step %d %v: %v", on, i, st, err)
 		}
 		if st.op == opSolve || i == len(steps)-1 {
 			if err := sameSearchState(got, want); err != nil {
-				tb.Fatalf("step %d %v: %v", i, st, err)
+				tb.Fatalf("%s, step %d %v: %v", on, i, st, err)
 			}
 		}
 	}

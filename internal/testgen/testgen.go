@@ -208,6 +208,7 @@ func FromPipelineContext(ctx context.Context, prog *ast.Program, pipe *sym.Pipel
 	// instance. Learnt clauses from one path prune the others, which is
 	// what makes deep path enumeration affordable.
 	sess := solver.NewSessionContext(ctx, opts.MaxConflicts)
+	defer sess.Close()
 	sess.Assert(base...)
 	condLits := make([]solver.Lit, len(conds))
 	for i, c := range conds {
@@ -301,7 +302,7 @@ func FromPipelineContext(ctx context.Context, prog *ast.Program, pipe *sym.Pipel
 			if len(cases) >= opts.MaxCases {
 				return
 			}
-			if sess.SolveAssuming(append(fixed, lit)...).Status == solver.Sat {
+			if sess.Check(append(fixed, lit)...) == solver.Sat {
 				walk(idx+1, append(fixed, lit), id+marks[pi])
 			}
 		}
