@@ -247,10 +247,10 @@ func BenchmarkValidateIncremental(b *testing.B) {
 			b.Fatal("reference pipeline flagged")
 		}
 	}
-	if bh, bm, vh, vm := cache.Stats(); bh+bm > 0 {
-		b.ReportMetric(float64(bh)/float64(bh+bm)*100, "block-hit-%")
-		if vh+vm > 0 {
-			b.ReportMetric(float64(vh)/float64(vh+vm)*100, "verdict-hit-%")
+	if s := cache.Snapshot(); s.BlockHits+s.BlockMisses > 0 {
+		b.ReportMetric(float64(s.BlockHits)/float64(s.BlockHits+s.BlockMisses)*100, "block-hit-%")
+		if s.VerdictHits+s.VerdictMisses > 0 {
+			b.ReportMetric(float64(s.VerdictHits)/float64(s.VerdictHits+s.VerdictMisses)*100, "verdict-hit-%")
 		}
 	}
 }

@@ -43,8 +43,8 @@ func splitDefects(list string) []string {
 
 // engineConfig builds fuzz and serve mode's engine configuration. The
 // campaign settings go through the fleet's translation, the one every
-// lease starts from; the single process adds its slot range, mutation,
-// epochs and reduction window.
+// lease starts from; the single process adds its slot range, mutation
+// and epochs.
 func engineConfig(ff fuzzFlags) (core.EngineConfig, error) {
 	cfg, err := runConfig(ff).EngineConfig()
 	if err != nil {
@@ -54,7 +54,6 @@ func engineConfig(ff fuzzFlags) (core.EngineConfig, error) {
 	cfg.Seeds = ff.seeds
 	cfg.MutateRatio = ff.mutateRatio
 	cfg.EpochPrograms = ff.epochPrograms
-	cfg.ReduceOpts.Parallelism = ff.reduceWorkers
 	return cfg, nil
 }
 

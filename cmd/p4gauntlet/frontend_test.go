@@ -50,9 +50,9 @@ func fleetCarried(cfg core.EngineConfig) string {
 	if sync == 0 {
 		sync = core.DefaultSyncInterval
 	}
-	s := fmt.Sprintf("seed=%d backend=%s sync=%d packets=%v blackbox=%v concolic-off=%v conflicts=%d reduce=%v rounds=%d calls=%d per-pass=%d stage=%v oracle=%v\n",
+	s := fmt.Sprintf("seed=%d backend=%s sync=%d packets=%v blackbox=%v concolic-off=%v conflicts=%d reduce=%v rounds=%d calls=%d stage=%v oracle=%v\n",
 		cfg.Seed, cfg.Backend, sync, cfg.PacketTests, cfg.BlackBox, cfg.ConcolicOff, cfg.MaxConflicts,
-		cfg.Reduce, cfg.ReduceOpts.MaxRounds, cfg.ReduceOpts.MaxPredicateCalls, cfg.MaxReducePerPass,
+		cfg.Reduce, cfg.ReduceOpts.MaxRounds, cfg.ReduceOpts.MaxPredicateCalls,
 		cfg.StageTimeout, cfg.OracleTimeout)
 	for _, p := range cfg.Passes {
 		s += fmt.Sprintf("%s %T\n", p.Name(), p)

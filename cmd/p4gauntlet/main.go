@@ -63,7 +63,7 @@
 //	p4gauntlet [-mode campaign|levels|fuzz|serve|coordinator|worker]
 //	           [-seeds N] [-workers N]
 //	           [-duration D] [-backend v1model|tna] [-jsonl FILE]
-//	           [-packets] [-reduce] [-reduce-workers N] [-start N] [-seed N]
+//	           [-packets] [-reduce] [-start N] [-seed N]
 //	           [-mutate-ratio F] [-corpus DIR] [-stats-interval D]
 //	           [-epoch-programs N] [-state DIR | -resume DIR]
 //	           [-checkpoint-programs N] [-stage-timeout D]
@@ -160,7 +160,6 @@ func parseFlags(args []string) (mode string, ff fuzzFlags, fl fleetFlags, err er
 	fs.BoolVar(&ff.packets, "packets", true, "run symbolic-execution packet tests in addition to translation validation")
 	fs.BoolVar(&ff.concolic, "concolic", true, "bit-parallel concrete falsification under every equivalence query plus trace-steered test enumeration; -concolic=false sends every verdict straight to the solver (bisection / invariance checking)")
 	fs.BoolVar(&ff.reduce, "reduce", true, "auto-reduce each unique finding's witness")
-	fs.IntVar(&ff.reduceWorkers, "reduce-workers", 0, "speculative reduction window: candidates probed concurrently per finding (0 = -workers; the reduced witnesses are byte-identical at any value)")
 	fs.Float64Var(&ff.mutateRatio, "mutate-ratio", 0.5, "fraction of programs drawn by mutating corpus seeds (fuzz mode, 0 = pure grammar generation)")
 	fs.StringVar(&ff.corpusDir, "corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz mode)")
 	fs.DurationVar(&ff.statsInterval, "stats-interval", 0, "emit a periodic stats record to -jsonl every D (fuzz/serve mode; serve defaults to 30s, fuzz to final record only)")
@@ -230,7 +229,6 @@ type fuzzFlags struct {
 	jsonl              string
 	packets            bool
 	reduce             bool
-	reduceWorkers      int
 	concolic           bool
 	mutateRatio        float64
 	corpusDir          string

@@ -46,7 +46,7 @@
 //     witness) — and every unique finding is shrunk by internal/reduce
 //     with a predicate that re-runs the oracle, automating the manual
 //     reduction §8 calls a limitation. Reduction is speculative and
-//     parallel (reduce.Options.Parallelism, p4gauntlet -reduce-workers):
+//     parallel (reduce.Options.Parallelism, the worker count by default):
 //     a window of delta-debugging candidates is probed concurrently but
 //     results are consumed strictly in enumeration order and the first
 //     success commits, so the reduced witness is byte-identical to

@@ -43,19 +43,14 @@ func TestConcolicResolvesQueriesWithoutSolver(t *testing.T) {
 	if sum := s.Summary(); !strings.Contains(sum, "falsified concretely") {
 		t.Errorf("summary missing concolic line:\n%s", sum)
 	}
-	// And with the fast path off, the same counters stay zero.
+	// And with the fast path off, the same counters stay zero. The
+	// matrix's concolic-off rows check that the findings do not change.
 	cfg2 := buggyEngineConfig(t, 15, 4, "P4C-S-02", "P4C-S-06")
 	cfg2.ConcolicOff = true
 	e2 := core.NewEngine(cfg2)
-	fs2 := e2.Run(context.Background())
-	s2 := e2.Stats()
-	if s2.TapesCompiled != 0 || s2.ConcolicFalsified != 0 || s2.ConcolicPackets != 0 {
+	e2.Run(context.Background())
+	if s2 := e2.Stats(); s2.TapesCompiled != 0 || s2.ConcolicFalsified != 0 || s2.ConcolicPackets != 0 {
 		t.Errorf("ConcolicOff still ran the tape: %+v", s2)
-	}
-	// ... while the verdicts themselves are invariant.
-	if on, off := fingerprintSet(fs), fingerprintSet(fs2); strings.Join(on, "\n") != strings.Join(off, "\n") {
-		t.Errorf("finding set depends on the fast path:\non:\n  %s\noff:\n  %s",
-			strings.Join(on, "\n  "), strings.Join(off, "\n  "))
 	}
 }
 

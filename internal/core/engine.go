@@ -247,16 +247,6 @@ type EngineConfig struct {
 	// order, serial-equivalent budgets).
 	Reduce     bool
 	ReduceOpts reduce.Options
-	// MaxReducePerPass bounds how many semantic candidates per
-	// (kind, failing pass) enter the reducer (0 = default 64). Semantic
-	// findings can only be deduplicated after reduction, so a single hot
-	// defect firing on most seeds would otherwise turn the pipeline into
-	// a reducer farm; candidates beyond the cap are dropped as
-	// duplicates. The dedup stage receives candidates only from the
-	// collector, in canonical order, so which candidates the cap keeps is
-	// a function of the schedule: the unique-finding set and witness
-	// bytes stay worker-count-independent above the cap as well.
-	MaxReducePerPass int
 	// EpochPrograms bounds per-epoch memory. Every engine builds its
 	// terms and caches in a private smt.Context + validation cache pair,
 	// its epoch; after this many programs have been folded at round
@@ -346,6 +336,17 @@ const DefaultSyncInterval = 32
 
 // maxMutations bounds how many mutators stack on one mutated program.
 const maxMutations = 3
+
+// maxReducePerPass bounds how many semantic candidates per (kind, failing
+// pass) enter the reducer. Semantic findings can only be deduplicated
+// after reduction, so a single hot defect firing on most seeds would
+// otherwise turn the pipeline into a reducer farm; candidates beyond the
+// cap are dropped as duplicates. The dedup stage receives candidates only
+// from the collector, in canonical order, so which candidates the cap
+// keeps is a function of the schedule: the unique-finding set and witness
+// bytes stay worker-count-independent above the cap as well. The cap is
+// per engine, so a fleet applies it per lease.
+const maxReducePerPass = 64
 
 // DefaultEngineConfig mirrors the sequential fuzz loop's settings on the
 // streaming engine: v1model programs, validation oracle, auto-reduction.
@@ -607,6 +608,8 @@ type Engine struct {
 	// all findings reducing at once: per-finding speculation widens the
 	// probe window, the gate keeps the total at the worker-pool size.
 	reduceGate chan struct{}
+	// reducePerPass is the dedup stage's cap, maxReducePerPass.
+	reducePerPass int
 }
 
 // epochState is one epoch's scoped solver-stack state: the smt context
@@ -629,9 +632,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	if cfg.MaxConflicts == 0 {
 		cfg.MaxConflicts = 20000
-	}
-	if cfg.MaxReducePerPass <= 0 {
-		cfg.MaxReducePerPass = 64
 	}
 	if cfg.ReduceOpts.Parallelism <= 0 {
 		cfg.ReduceOpts.Parallelism = cfg.Workers
@@ -662,8 +662,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 	testOpts := testgen.DefaultOptions()
 	testOpts.DisableSteering = cfg.ConcolicOff
 	e := &Engine{
-		cfg:    cfg,
-		corpus: cfg.Corpus,
+		cfg:           cfg,
+		corpus:        cfg.Corpus,
+		reducePerPass: maxReducePerPass,
 		oracle: &Oracle{
 			Passes:       cfg.Passes,
 			MaxConflicts: cfg.MaxConflicts,
@@ -1748,7 +1749,7 @@ func (r *run) dedup() {
 			}
 		} else {
 			key := fmt.Sprintf("%d\x00%s", f.Kind, f.Pass)
-			if perPass[key] >= e.cfg.MaxReducePerPass {
+			if perPass[key] >= e.reducePerPass {
 				dup = true
 			} else {
 				perPass[key]++

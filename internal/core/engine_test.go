@@ -198,26 +198,6 @@ func mutatingEngineConfig(t *testing.T, seeds int64, workers int, masterSeed int
 	return cfg
 }
 
-// TestEngineSeedReproducibility: the same master -seed replays the whole
-// run — schedule, findings, corpus — and a different seed yields a
-// different mutation schedule stream (the flag actually steers).
-func TestEngineSeedReproducibility(t *testing.T) {
-	run := func(masterSeed int64) ([]string, []uint64) {
-		e := core.NewEngine(mutatingEngineConfig(t, 30, 4, masterSeed))
-		fs := e.Run(context.Background())
-		return fingerprintSet(fs), e.Corpus().Fingerprints()
-	}
-	f1, c1 := run(11)
-	f2, c2 := run(11)
-	if strings.Join(f1, "\n") != strings.Join(f2, "\n") {
-		t.Errorf("same -seed, different findings:\nrun1:\n  %s\nrun2:\n  %s",
-			strings.Join(f1, "\n  "), strings.Join(f2, "\n  "))
-	}
-	if fmt.Sprint(c1) != fmt.Sprint(c2) {
-		t.Errorf("same -seed, different corpus:\nrun1: %x\nrun2: %x", c1, c2)
-	}
-}
-
 // TestEngineCorpusStats: corpus-mode accounting — every slot still yields
 // exactly one program, mutation engages, admission tracks coverage, and
 // the summary renders the corpus line.

@@ -78,7 +78,8 @@ type campaign struct {
 	slots    int64
 	mutate   float64
 	blackBox bool
-	// perPass is MaxReducePerPass (0 = the engine default).
+	// perPass is the engine's cap on semantic candidates per failing
+	// pass, set through SetReducePerPass (0 = the engine default).
 	perPass int
 	// faults, when set, is injected into every stage it names, and the
 	// campaign's reference is the union of the per-slot baselines of the
@@ -94,17 +95,19 @@ type campaign struct {
 // compile stage and the oracle produce findings. (P4C-C-04 would crash
 // every program in TypeChecking, and nothing would reach the oracle.)
 var p4cRun = fleet.RunConfig{
-	Seed: 7, Backend: "v1model", SyncInterval: 8,
-	Reduce: true, ReduceMaxRounds: 3, ReduceMaxPredicateCalls: 300,
+	Seed: 7, Backend: "v1model", SyncInterval: 8, Reduce: true,
 	Defects: []string{"P4C-C-17", "P4C-S-02"},
 }
 
 var (
 	generation = &campaign{run: p4cRun, slots: 32,
 		want: []core.FindingKind{core.FindingCrash, core.FindingMiscompilation}}
-	mutation = &campaign{run: p4cRun, slots: 24, mutate: 0.5,
+	// mutation's 30 slots end in a partial round: the tail round's
+	// verdicts bump nothing, since no fold follows, and the run must still
+	// drain and release their candidates.
+	mutation = &campaign{run: p4cRun, slots: 30, mutate: 0.5,
 		want: []core.FindingKind{core.FindingCrash, core.FindingMiscompilation}}
-	// capped runs far more miscompilations than MaxReducePerPass lets
+	// capped runs far more miscompilations than its cap of 2 lets
 	// through; which candidates the cap keeps is a function of the
 	// schedule. (The cap is per lease in a fleet, so no fleet row runs it.)
 	capped = &campaign{run: p4cRun, slots: 32, perPass: 2,
@@ -113,8 +116,7 @@ var (
 	// defects surface only through packet tests, and mismatch reduction
 	// replays each finding's failing test case.
 	blackBoxTNA = &campaign{
-		run: fleet.RunConfig{Seed: 7, Backend: "tna", SyncInterval: 8, PacketTests: true,
-			Reduce: true, ReduceMaxRounds: 3, ReduceMaxPredicateCalls: 300,
+		run: fleet.RunConfig{Seed: 7, Backend: "tna", SyncInterval: 8, PacketTests: true, Reduce: true,
 			Defects: []string{"TOF-S-01", "TOF-C-03", "TOF-C-16", "TOF-S-08"}},
 		slots: 16, blackBox: true,
 		want: []core.FindingKind{core.FindingMismatch},
@@ -168,7 +170,6 @@ func (c *campaign) engineConfig(t *testing.T, r row) core.EngineConfig {
 	cfg.Seeds = c.slots
 	cfg.MutateRatio = c.mutate
 	cfg.BlackBox = c.blackBox
-	cfg.MaxReducePerPass = c.perPass
 	cfg.EpochPrograms = r.epochs
 	cfg.ReduceOpts.Parallelism = r.width
 	if r.obs {
@@ -196,6 +197,9 @@ func runEngine(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, st
 	streamed := 0
 	cfg.OnFinding = func(core.Finding) { streamed++ }
 	e := core.NewEngine(cfg)
+	if c.perPass > 0 {
+		core.SetReducePerPass(e, c.perPass)
+	}
 	fs := e.Run(context.Background())
 	s := e.Stats()
 	identities(t, s, cfg.Seeds, quarantined, streamed, len(fs))
@@ -262,10 +266,10 @@ func runFleet(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, str
 
 // live fails unless c's reference run reached every stage its rows
 // toggle: findings of each wanted kind, programs through the oracle,
-// mutants when the campaign mutates, more candidates than a cap keeps,
-// and faulted units when a plan is injected. A faulted reference must
-// also find exactly what single-slot runs of the slots the plan leaves
-// alone find.
+// mutants and energy bumps when the campaign mutates, more candidates
+// than a cap keeps, and faulted units when a plan is injected. A faulted
+// reference must also find exactly what single-slot runs of the slots
+// the plan leaves alone find.
 func (c *campaign) live(t *testing.T, fs []core.Finding, s core.Stats) {
 	t.Helper()
 	for _, kind := range c.want {
@@ -278,6 +282,9 @@ func (c *campaign) live(t *testing.T, fs []core.Finding, s core.Stats) {
 	}
 	if c.mutate > 0 && s.Mutated == 0 {
 		t.Error("reference mutated no program")
+	}
+	if c.mutate > 0 && s.Corpus.Bumps == 0 {
+		t.Error("reference bumped no seed's energy: no mutant's finding reached a fold")
 	}
 	if c.perPass > 0 && s.Miscompilations <= uint64(c.perPass) {
 		t.Errorf("%d miscompilations never exceed the cap of %d", s.Miscompilations, c.perPass)

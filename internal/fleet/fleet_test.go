@@ -20,14 +20,12 @@ import (
 // compile stage and the oracle within a few seeds.
 func testRun() RunConfig {
 	return RunConfig{
-		Seed:                    11,
-		Backend:                 "v1model",
-		SyncInterval:            8,
-		EngineWorkers:           2,
-		Reduce:                  true,
-		ReduceMaxRounds:         3,
-		ReduceMaxPredicateCalls: 300,
-		Defects:                 []string{"P4C-C-17", "P4C-C-13", "P4C-S-02"},
+		Seed:          11,
+		Backend:       "v1model",
+		SyncInterval:  8,
+		EngineWorkers: 2,
+		Reduce:        true,
+		Defects:       []string{"P4C-C-17", "P4C-C-13", "P4C-S-02"},
 	}
 }
 

@@ -27,9 +27,9 @@
 //     fingerprints, so the surviving representative of every fingerprint
 //     is the global first occurrence — the same program, and therefore
 //     the same reduced witness bytes, the single process keeps. (This
-//     holds below the engine's MaxReducePerPass cap: the cap is per
-//     lease, so a fleet run reduces candidates a capped single process
-//     would have dropped.)
+//     holds below the engine's cap of 64 reduced semantic candidates per
+//     failing pass: the cap is per lease, so a fleet run reduces
+//     candidates a capped single process would have dropped.)
 //
 // A worker keeps no solver state between leases: each lease runs a fresh
 // engine whose smt context and validation cache die with it, so a
@@ -119,11 +119,9 @@ type RunConfig struct {
 	// same names.
 	PacketTests bool `json:"packet_tests,omitempty"`
 	ConcolicOff bool `json:"concolic_off,omitempty"`
-	// Reduce enables witness reduction; ReduceMaxRounds /
-	// ReduceMaxPredicateCalls bound it (0 = engine defaults).
-	Reduce                  bool `json:"reduce"`
-	ReduceMaxRounds         int  `json:"reduce_max_rounds,omitempty"`
-	ReduceMaxPredicateCalls int  `json:"reduce_max_predicate_calls,omitempty"`
+	// Reduce enables witness reduction under the engine's default
+	// budgets, the ones single-process fuzz and serve runs use.
+	Reduce bool `json:"reduce"`
 	// StageTimeoutMs / OracleTimeoutMs are the watchdog budgets in
 	// milliseconds (0 = off).
 	StageTimeoutMs  int64 `json:"stage_timeout_ms,omitempty"`

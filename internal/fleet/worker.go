@@ -47,12 +47,6 @@ func (run RunConfig) EngineConfig() (core.EngineConfig, error) {
 	cfg.PacketTests = run.PacketTests
 	cfg.ConcolicOff = run.ConcolicOff
 	cfg.Reduce = run.Reduce
-	if run.ReduceMaxRounds > 0 {
-		cfg.ReduceOpts.MaxRounds = run.ReduceMaxRounds
-	}
-	if run.ReduceMaxPredicateCalls > 0 {
-		cfg.ReduceOpts.MaxPredicateCalls = run.ReduceMaxPredicateCalls
-	}
 	cfg.StageTimeout = time.Duration(run.StageTimeoutMs) * time.Millisecond
 	cfg.OracleTimeout = time.Duration(run.OracleTimeoutMs) * time.Millisecond
 	var err error

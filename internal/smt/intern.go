@@ -55,13 +55,6 @@ func NewInterner() *Interner {
 	return in
 }
 
-// Stats reports the default context's interner size (distinct live
-// terms) and cumulative hit count (constructions answered by an existing
-// term).
-func Stats() (size, hits uint64) {
-	return defaultCtx.in.Size(), defaultCtx.in.Hits()
-}
-
 // InternerInfo is a point-in-time snapshot of an interning table. Interner
 // growth is unbounded for the process lifetime (terms are never evicted),
 // so long-running services watch these numbers to know when eviction will
@@ -117,31 +110,6 @@ func (in *Interner) Info() InternerInfo {
 func termBytes(t *Term) uint64 {
 	const termSize = uint64(unsafe.Sizeof(Term{}))
 	return termSize + uint64(len(t.Name)) + uint64(len(t.Args))*8 + 8 + 16
-}
-
-// Size returns the number of distinct interned terms.
-func (in *Interner) Size() uint64 {
-	var n uint64
-	for i := range in.shards {
-		s := &in.shards[i]
-		s.mu.Lock()
-		n += s.count
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Hits returns the cumulative count of constructions that found an
-// existing term.
-func (in *Interner) Hits() uint64 {
-	var n uint64
-	for i := range in.shards {
-		s := &in.shards[i]
-		s.mu.Lock()
-		n += s.hits
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // hashTerm computes the structural hash of a candidate term from its

@@ -144,21 +144,24 @@ func TestSatAddSemantics(t *testing.T) {
 	}
 }
 
-// TestInternerStats: the observability snapshot must be consistent with
-// the package-level counters and account for real memory.
+// TestInternerStats: the observability snapshot must count distinct
+// terms and hits, and account for real memory.
 func TestInternerStats(t *testing.T) {
 	// Force some distinct terms into the default interner.
 	x := smt.Var("stats_probe_x", 16)
-	for i := uint64(0); i < 32; i++ {
-		_ = smt.Add(x, smt.Const(i, 16))
+	probe := func() {
+		for i := uint64(0); i < 32; i++ {
+			_ = smt.Add(x, smt.Const(i, 16))
+		}
 	}
+	probe()
 	info := smt.InternerStats()
-	size, hits := smt.Stats()
-	if info.Entries != size {
-		t.Errorf("InternerStats entries %d != Stats size %d", info.Entries, size)
-	}
-	if info.Hits != hits {
-		t.Errorf("InternerStats hits %d != Stats hits %d", info.Hits, hits)
+	// Building the same terms again adds none and answers each from the
+	// table.
+	probe()
+	if again := smt.InternerStats(); again.Entries != info.Entries || again.Hits < info.Hits+32 {
+		t.Errorf("rebuilding 32 terms: entries %d -> %d, hits %d -> %d; want no new entry and at least 32 hits",
+			info.Entries, again.Entries, info.Hits, again.Hits)
 	}
 	if info.Entries < 32 {
 		t.Errorf("expected at least the 32 probe terms, got %d", info.Entries)

@@ -205,6 +205,41 @@ func TestRecycledSessionDescent(t *testing.T) {
 	}
 }
 
+// TestCloseDropsOversizedSession: Close pools a session's storage only
+// while its clause arena holds at most maxPooledArena words, so the next
+// NewSession never inherits a larger arena. A session at the cap is
+// handed on: the pool gives back what Close put there unless a GC runs
+// in between or the race detector drops the put, so it must come back
+// within a few tries.
+func TestCloseDropsOversizedSession(t *testing.T) {
+	EmptyPool()
+	closeWith := func(words int) *Blaster {
+		s := NewSession(0)
+		b := s.b
+		b.sat.arena = make([]uint32, 0, words)
+		s.Close()
+		return b
+	}
+	next := func() *Blaster {
+		s := NewSession(0)
+		defer s.Close()
+		return s.b
+	}
+	for range 20 {
+		if big := closeWith(maxPooledArena + 1); next() == big {
+			t.Fatalf("NewSession reused a session whose arena holds more than %d words", maxPooledArena)
+		}
+	}
+	reused := false
+	for range 20 {
+		small := closeWith(maxPooledArena)
+		reused = reused || next() == small
+	}
+	if !reused {
+		t.Fatal("NewSession never reused a session at the cap: the pool hands nothing on")
+	}
+}
+
 // TestSessionsConcurrent runs the descent on sessions that goroutines
 // open and close at the same time, so pooled storage passes between
 // them; every run must return the results of a run alone. Run it with

@@ -89,9 +89,10 @@ func referencePreferences(prefs []*smt.Term, assertions ...*smt.Term) (solver.Re
 }
 
 // TestPreferencesMatchReference is the incremental-vs-fresh differential
-// over randomized term sets: same satisfiability verdict, and the
-// incremental model must satisfy the assertions plus exactly the
-// preference set the reference implementation kept.
+// over randomized term sets: a session's SolveAssumingSoft, one
+// preference per group as test generation builds them, must reach the
+// reference's satisfiability verdict, and its model must satisfy the
+// assertions plus exactly the preference set the reference kept.
 func TestPreferencesMatchReference(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	for round := 0; round < 40; round++ {
@@ -104,7 +105,14 @@ func TestPreferencesMatchReference(t *testing.T) {
 			prefs = append(prefs, randCond(r, 1))
 		}
 
-		inc := solver.SolveWithPreferences(0, prefs, assertions...)
+		sess := solver.NewSession(0)
+		sess.Assert(assertions...)
+		soft := make([][]solver.Lit, len(prefs))
+		for i, p := range prefs {
+			soft[i] = []solver.Lit{sess.Lit(p)}
+		}
+		inc := sess.SolveAssumingSoft(nil, soft)
+		sess.Close()
 		ref, keptPrefs := referencePreferences(prefs, assertions...)
 
 		if inc.Status != ref.Status {

@@ -62,13 +62,24 @@ type Session struct {
 	b *Blaster
 }
 
+// maxPooledArena bounds, in words, the clause arena of a SAT instance
+// Close hands on. Nearly every session's arena stays far below it; the
+// few that pass it belong to budgeted CDCL queries, and pooling one would
+// keep its arena and watch lists alive for as long as the pool lives.
+const maxPooledArena = 1 << 18
+
 // Close ends the session and resets its blaster and SAT instance for
-// reuse by a later NewSession. The session must not be used afterwards;
-// what it returned stays valid, since every model is a map of its own.
+// reuse by a later NewSession, unless the arena holds more than
+// maxPooledArena words. The session must not be used afterwards; what it
+// returned stays valid, since every model is a map of its own.
 func (s *Session) Close() {
-	s.b.reset()
-	blasters.Put(s.b)
+	b := s.b
 	s.b = nil
+	if cap(b.sat.arena) > maxPooledArena {
+		return
+	}
+	b.reset()
+	blasters.Put(b)
 }
 
 // NewSession creates a session with the given per-query conflict budget
@@ -137,8 +148,8 @@ func (s *Session) BVLits(t *smt.Term) []Lit { return s.b.BlastBV(smt.Simplify(t)
 // SolveAssumingSoft decides the fixed assumptions, then greedily keeps
 // each soft assumption group that remains satisfiable, in order. A group
 // is atomic: all of its literals are kept or none (one group typically
-// encodes one preference constraint). This is the shared engine behind
-// SolveWithPreferences and test generation's model steering.
+// encodes one preference constraint). Test generation steers its models
+// with it, among them toward the non-zero packets §6.2 asks for.
 func (s *Session) SolveAssumingSoft(fixed []Lit, soft [][]Lit) Result {
 	if len(soft) == 0 {
 		return s.SolveAssuming(fixed...)
@@ -171,79 +182,12 @@ func (s *Session) SolveAssumingSoft(fixed []Lit, soft [][]Lit) Result {
 	return res
 }
 
-// SolvePreferNonZero solves the assertions, greedily preferring models in
-// which the named variables are non-zero. The paper configures Z3 the same
-// way (§6.2): zero-valued test packets can mask miscompilations on targets
-// that zero-initialize undefined values.
-//
-// The preference is best-effort: variables that cannot be non-zero under
-// the assertions are left unconstrained.
-func SolvePreferNonZero(maxConflicts int, prefer []string, assertions ...*smt.Term) Result {
-	var prefs []*smt.Term
-	if len(prefer) > 0 {
-		// Collect widths of the preferred variables that actually occur
-		// (once, up front — not per trial). Preference terms are built in
-		// the assertions' context so a rotating service never interns
-		// per-query variables into the immortal default context.
-		sctx := smt.DefaultContext()
-		if len(assertions) > 0 {
-			sctx = assertions[0].Context()
-		}
-		widths := map[string]int{}
-		for _, a := range assertions {
-			a.Vars(widths)
-		}
-		for _, name := range prefer {
-			w, ok := widths[name]
-			if !ok {
-				continue
-			}
-			if w == 0 {
-				prefs = append(prefs, sctx.Var(name, 0))
-			} else {
-				prefs = append(prefs, smt.Ne(sctx.Var(name, w), sctx.Const(0, w)))
-			}
-		}
-	}
-	return SolveWithPreferences(maxConflicts, prefs, assertions...)
-}
-
-// SolveWithPreferences solves the assertions, greedily keeping each
-// preference constraint that remains satisfiable (in order). Preferences
-// are soft: an unsatisfiable one is silently dropped.
-//
-// The hard assertions are blasted once; every preference trial is a
-// solve-under-assumptions on the same SAT instance, so trial k costs one
-// incremental query instead of re-encoding k-1 kept preferences plus the
-// whole base formula.
-func SolveWithPreferences(maxConflicts int, prefs []*smt.Term, assertions ...*smt.Term) Result {
-	s := NewSession(maxConflicts)
-	defer s.Close()
-	s.Assert(assertions...)
-	res := s.Solve()
-	if res.Status != Sat || len(prefs) == 0 {
-		return res
-	}
-	soft := make([][]Lit, len(prefs))
-	for i, p := range prefs {
-		soft[i] = []Lit{s.Lit(p)}
-	}
-	out := s.SolveAssumingSoft(nil, soft)
-	out.Conflicts += res.Conflicts
-	return out
-}
-
-// Equivalent checks whether two terms of equal sort are semantically
-// identical. When they differ it returns a distinguishing assignment —
-// the counterexample translation validation reports (§5.2).
-func Equivalent(maxConflicts int, a, b *smt.Term) (bool, smt.Assignment, Status) {
-	return EquivalentContext(context.Background(), maxConflicts, a, b)
-}
-
-// EquivalentContext is Equivalent under a wall-clock watchdog: an expired
-// context aborts the search with Unknown — the same explicit degradation
-// as conflict-budget exhaustion — instead of letting one pathological
-// miter stall its caller indefinitely.
+// EquivalentContext checks whether two terms of equal sort are
+// semantically identical. When they differ it returns a distinguishing
+// assignment — the counterexample translation validation reports (§5.2).
+// An expired context aborts the search with Unknown — the same explicit
+// degradation as conflict-budget exhaustion — instead of letting one
+// pathological miter stall its caller indefinitely.
 func EquivalentContext(ctx context.Context, maxConflicts int, a, b *smt.Term) (bool, smt.Assignment, Status) {
 	res := SolveContext(ctx, maxConflicts, smt.Ne(a, b))
 	switch res.Status {

@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -157,40 +158,18 @@ func TestSolveShift(t *testing.T) {
 func TestEquivalentTerms(t *testing.T) {
 	x := smt.Var("x", 8)
 	// x*2 ≡ x<<1.
-	eq, _, st := solver.Equivalent(0, smt.Mul(x, smt.Const(2, 8)), smt.Shl(x, smt.Const(1, 8)))
+	eq, _, st := solver.EquivalentContext(context.Background(), 0, smt.Mul(x, smt.Const(2, 8)), smt.Shl(x, smt.Const(1, 8)))
 	if !eq || st != solver.Unsat {
 		t.Fatal("x*2 and x<<1 should be equivalent")
 	}
 	// x*2 ≢ x<<2: counterexample required.
-	eq, model, st := solver.Equivalent(0, smt.Mul(x, smt.Const(2, 8)), smt.Shl(x, smt.Const(2, 8)))
+	eq, model, st := solver.EquivalentContext(context.Background(), 0, smt.Mul(x, smt.Const(2, 8)), smt.Shl(x, smt.Const(2, 8)))
 	if eq || st != solver.Sat {
 		t.Fatal("x*2 and x<<2 should differ")
 	}
 	v := model["x"]
 	if (v*2)&0xFF == (v<<2)&0xFF {
 		t.Fatalf("counterexample x=%d does not distinguish the terms", v)
-	}
-}
-
-func TestSolvePreferNonZero(t *testing.T) {
-	x := smt.Var("x", 8)
-	y := smt.Var("y", 8)
-	res := solver.SolvePreferNonZero(0, []string{"x", "y"},
-		smt.Eq(smt.Add(x, y), smt.Const(10, 8)))
-	if res.Status != solver.Sat {
-		t.Fatalf("status %v, want sat", res.Status)
-	}
-	if res.Model["x"] == 0 || res.Model["y"] == 0 {
-		t.Fatalf("model x=%d y=%d: non-zero preference not honored", res.Model["x"], res.Model["y"])
-	}
-	if (res.Model["x"]+res.Model["y"])&0xFF != 10 {
-		t.Fatalf("model does not satisfy x+y=10")
-	}
-	// When zero is forced, the preference must yield gracefully.
-	res = solver.SolvePreferNonZero(0, []string{"x"},
-		smt.Eq(x, smt.Const(0, 8)))
-	if res.Status != solver.Sat || res.Model["x"] != 0 {
-		t.Fatalf("forced-zero case: %v %v", res.Status, res.Model)
 	}
 }
 

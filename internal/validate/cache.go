@@ -97,13 +97,6 @@ func newCache(sctx *smt.Context, cc *cacheCounters) *Cache {
 // Context returns the smt context the cache is bound to.
 func (c *Cache) Context() *smt.Context { return c.ctx }
 
-// Stats reports hit/miss counters: block-formula cache first, then
-// verdict cache. Snapshot carries these plus the simplification counter.
-func (c *Cache) Stats() (blockHits, blockMisses, verdictHits, verdictMisses uint64) {
-	s := c.Snapshot()
-	return s.BlockHits, s.BlockMisses, s.VerdictHits, s.VerdictMisses
-}
-
 // CacheStats is a point-in-time snapshot of every cache counter.
 type CacheStats struct {
 	BlockHits, BlockMisses     uint64

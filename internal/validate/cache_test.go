@@ -48,8 +48,8 @@ func TestSnapshotsSharedCacheSkipsRework(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("expected at least one verdict")
 	}
-	_, bMissBefore, _, vMissBefore := cache.Stats()
-	if bMissBefore == 0 {
+	before := cache.Snapshot()
+	if before.BlockMisses == 0 {
 		t.Fatal("first run should have populated the block cache")
 	}
 
@@ -60,14 +60,14 @@ func TestSnapshotsSharedCacheSkipsRework(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached verdicts differ:\n  first  %v\n  second %v", first, second)
 	}
-	bHits, bMissAfter, _, vMissAfter := cache.Stats()
-	if bMissAfter != bMissBefore {
-		t.Fatalf("second run re-executed blocks symbolically: misses %d → %d", bMissBefore, bMissAfter)
+	after := cache.Snapshot()
+	if after.BlockMisses != before.BlockMisses {
+		t.Fatalf("second run re-executed blocks symbolically: misses %d → %d", before.BlockMisses, after.BlockMisses)
 	}
-	if vMissAfter != vMissBefore {
-		t.Fatalf("second run re-solved equivalence queries: misses %d → %d", vMissBefore, vMissAfter)
+	if after.VerdictMisses != before.VerdictMisses {
+		t.Fatalf("second run re-solved equivalence queries: misses %d → %d", before.VerdictMisses, after.VerdictMisses)
 	}
-	if bHits == 0 {
+	if after.BlockHits == 0 {
 		t.Fatal("expected block-cache hits on the second run")
 	}
 }
@@ -138,7 +138,7 @@ V1Switch(p, dep) main;
 	if _, err := validate.Snapshots(resA, validate.Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	_, missA, _, _ := cache.Stats()
+	missA := cache.Snapshot().BlockMisses
 
 	resB, err := compiler.New(compiler.DefaultPasses()...).Compile(progB)
 	if err != nil {
@@ -151,7 +151,7 @@ V1Switch(p, dep) main;
 	if len(validate.Failures(verdicts)) != 0 {
 		t.Fatalf("reference pipeline flagged: %v", verdicts)
 	}
-	_, missB, _, _ := cache.Stats()
+	missB := cache.Snapshot().BlockMisses
 	if missB == missA {
 		t.Fatal("16-bit program reused the 8-bit program's block formulas (cache key ignores type context)")
 	}

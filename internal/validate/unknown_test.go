@@ -42,7 +42,7 @@ func TestUnknownVerdictsNeverCached(t *testing.T) {
 	if unknowns == 0 {
 		t.Fatal("a 1-conflict budget starved no query; the regression check is vacuous")
 	}
-	_, _, hitsBefore, missBefore := cache.Stats()
+	before := cache.Snapshot()
 
 	full, err := validate.Pair(a, b, validate.Options{Cache: cache})
 	if err != nil {
@@ -56,12 +56,12 @@ func TestUnknownVerdictsNeverCached(t *testing.T) {
 			t.Fatalf("verdict %d: (x+y)*3 and x*3+y*3 must prove equivalent: %+v", i, v)
 		}
 	}
-	_, _, hitsAfter, missAfter := cache.Stats()
-	if missAfter == missBefore {
+	after := cache.Snapshot()
+	if after.VerdictMisses == before.VerdictMisses {
 		t.Fatal("full-budget run never reached the solver: Unknown verdicts were served from cache")
 	}
-	if hitsAfter != hitsBefore {
-		t.Fatalf("full-budget run hit the verdict cache %d times: Unknown was cached", hitsAfter-hitsBefore)
+	if after.VerdictHits != before.VerdictHits {
+		t.Fatalf("full-budget run hit the verdict cache %d times: Unknown was cached", after.VerdictHits-before.VerdictHits)
 	}
 
 	// Definitive verdicts, by contrast, are cached: a third run is pure
@@ -69,8 +69,8 @@ func TestUnknownVerdictsNeverCached(t *testing.T) {
 	if _, err := validate.Pair(a, b, validate.Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, hits, miss := cache.Stats(); miss != missAfter || hits == hitsAfter {
+	if third := cache.Snapshot(); third.VerdictMisses != after.VerdictMisses || third.VerdictHits == after.VerdictHits {
 		t.Fatalf("definitive verdict was not cached: hits %d→%d, misses %d→%d",
-			hitsAfter, hits, missAfter, miss)
+			after.VerdictHits, third.VerdictHits, after.VerdictMisses, third.VerdictMisses)
 	}
 }

@@ -42,8 +42,8 @@ fetch() {
   if command -v curl >/dev/null 2>&1; then curl -sf "$1"; else wget -qO- "$1"; fi
 }
 
-# The budget stays below the per-pass reduction cap (MaxReducePerPass,
-# 64 candidates per failing pass): fleet leases apply the cap per lease,
+# The budget stays below the engine's per-pass reduction cap (64
+# candidates per failing pass): fleet leases apply the cap per lease,
 # so a baseline that hits it reduces fewer candidates than the fleet.
 # At seed 11 these defects give 47 miscompilations in 512 slots.
 SEEDS=512
