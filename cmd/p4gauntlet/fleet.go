@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/fleet"
 	"gauntlet/internal/obs"
 )
@@ -50,16 +49,19 @@ type fleetStatusz struct {
 	Started time.Time         `json:"started"`
 	Now     time.Time         `json:"now"`
 	Fleet   fleet.FleetStatus `json:"fleet"`
-	Corpus  corpus.Stats      `json:"corpus"`
 }
 
 // fleetRunConfig is runConfig for coordinator mode. Fleet campaigns are
 // pure-generation by construction (lease replay must not depend on
-// cross-lease corpus state), so an explicit -mutate-ratio > 0 is refused
-// rather than silently ignored.
+// cross-lease corpus state), so an explicit -mutate-ratio > 0 and a
+// -corpus directory, which nothing in a fleet reads or writes, are
+// refused rather than silently ignored.
 func fleetRunConfig(ff fuzzFlags) (fleet.RunConfig, error) {
 	if ff.explicit["mutate-ratio"] && ff.mutateRatio > 0 {
 		return fleet.RunConfig{}, fmt.Errorf("-mutate-ratio %g is incompatible with fleet mode: leases replay as pure functions of their seeds, which mutation's cross-lease corpus dependence breaks", ff.mutateRatio)
+	}
+	if ff.corpusDir != "" {
+		return fleet.RunConfig{}, fmt.Errorf("-corpus is incompatible with fleet mode: leases are pure generation, so no lease reads a corpus and the coordinator keeps none")
 	}
 	if ff.epochPrograms > 0 {
 		return fleet.RunConfig{}, fmt.Errorf("-epoch-programs is incompatible with fleet mode: workers run one bounded engine per lease, so memory is bounded by the lease length instead")
@@ -131,7 +133,7 @@ func coordinatorMain(ff fuzzFlags, fl fleetFlags) {
 			return fleetStatusz{
 				Mode: "coordinator", PID: os.Getpid(),
 				Started: started, Now: time.Now(),
-				Fleet: coord.Status(), Corpus: coord.Corpus().Stats(),
+				Fleet: coord.Status(),
 			}
 		},
 	})

@@ -126,3 +126,29 @@ func TestDefectsInstrumentBackEnd(t *testing.T) {
 		t.Error("coordinator mode accepted a Tofino defect on the v1model pipeline")
 	}
 }
+
+// Coordinator mode refuses the flags only a single process honours,
+// rather than silently ignoring them: mutation and a corpus directory
+// (leases are pure generation and the coordinator keeps no corpus) and
+// epoch rotation (a lease's engine already bounds worker memory). The
+// defaults, and an explicit -mutate-ratio 0, are accepted.
+func TestFleetRunConfigRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		refused string // the flag the error must name; "" = accepted
+	}{
+		{nil, ""},
+		{[]string{"-mutate-ratio", "0"}, ""},
+		{[]string{"-mutate-ratio", "0.5"}, "-mutate-ratio"},
+		{[]string{"-epoch-programs", "64"}, "-epoch-programs"},
+		{[]string{"-corpus", "seeds"}, "-corpus"},
+	} {
+		_, err := fleetRunConfig(mustParse(t, append([]string{"-mode", "coordinator", "-listen", "fleet.sock"}, tc.args...)...))
+		switch {
+		case tc.refused == "" && err != nil:
+			t.Errorf("%q refused: %v", tc.args, err)
+		case tc.refused != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.refused+" ")):
+			t.Errorf("%q: got %v, want a refusal naming %s", tc.args, err, tc.refused)
+		}
+	}
+}

@@ -51,12 +51,14 @@
 // merges results in canonical lease order with fleet-wide fingerprint
 // dedup — so for a fixed -seeds budget the fleet's findings, witnesses
 // and report order are identical to a single-process run at any worker
-// count. Leases held by lost or hung workers expire and re-issue;
-// -fleet N forks N local workers for one-command scale-out; -state /
-// -resume give the coordinator the same journal/checkpoint crash
-// resilience as serve mode. Fleet campaigns are pure-generation
-// (-mutate-ratio must be 0): lease replay must not depend on cross-lease
-// corpus state.
+// count. A lease result carries only its findings and counters. Leases
+// held by lost or hung workers expire and re-issue; -fleet N forks N
+// local workers for one-command scale-out; -state / -resume give the
+// coordinator the same journal/checkpoint crash resilience as serve mode,
+// restoring the watermark, the totals and journal-seeded dedup. Fleet
+// campaigns are pure-generation (-mutate-ratio must be 0, and -corpus is
+// refused): lease replay must not depend on cross-lease corpus state, so
+// the coordinator keeps no corpus.
 //
 // Usage:
 //
@@ -161,11 +163,11 @@ func parseFlags(args []string) (mode string, ff fuzzFlags, fl fleetFlags, err er
 	fs.BoolVar(&ff.concolic, "concolic", true, "bit-parallel concrete falsification under every equivalence query plus trace-steered test enumeration; -concolic=false sends every verdict straight to the solver (bisection / invariance checking)")
 	fs.BoolVar(&ff.reduce, "reduce", true, "auto-reduce each unique finding's witness")
 	fs.Float64Var(&ff.mutateRatio, "mutate-ratio", 0.5, "fraction of programs drawn by mutating corpus seeds (fuzz mode, 0 = pure grammar generation)")
-	fs.StringVar(&ff.corpusDir, "corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz mode)")
+	fs.StringVar(&ff.corpusDir, "corpus", "", "corpus directory: load seeds before the run and save the admitted corpus after (fuzz/serve mode; coordinator mode refuses it, since a fleet keeps no corpus)")
 	fs.DurationVar(&ff.statsInterval, "stats-interval", 0, "emit a periodic stats record to -jsonl every D (fuzz/serve mode; serve defaults to 30s, fuzz to final record only)")
 	fs.IntVar(&ff.epochPrograms, "epoch-programs", 0, "rotate the solver context + caches every N programs, bounding per-epoch memory (serve mode defaults to 4096; 0 in fuzz mode = never)")
 	fs.StringVar(&ff.stateDir, "state", "", "durable state directory (fuzz/serve mode): fsynced findings journal, periodic atomic checkpoints and quarantine records")
-	fs.StringVar(&ff.resumeDir, "resume", "", "resume a killed campaign from the durable state in DIR (implies -state DIR): restores the corpus and seed watermark from the checkpoint and pre-seeds dedup from the journal so reprocessed slots are never re-reported")
+	fs.StringVar(&ff.resumeDir, "resume", "", "resume a killed campaign from the durable state in DIR (implies -state DIR): restores the seed watermark (and in fuzz/serve mode the corpus) from the checkpoint and pre-seeds dedup from the journal so reprocessed slots are never re-reported")
 	fs.IntVar(&ff.checkpointPrograms, "checkpoint-programs", 0, "checkpoint cadence in folded programs (needs -state; 0 = every epoch, or every 256 programs when epochs are off)")
 	fs.DurationVar(&ff.stageTimeout, "stage-timeout", 0, "per-program stall budget for each pipeline stage: a stage body exceeding it is abandoned and the program quarantined (serve mode defaults to 30s; 0 disables the watchdog)")
 	fs.DurationVar(&ff.oracleTimeout, "oracle-timeout", 0, "wall-clock budget for one program's oracle inspection: on expiry the ladder retries once at doubled budgets, then degrades the verdict to Unknown (0 disables)")

@@ -354,18 +354,19 @@
 // its seeds; and the coordinator (p4gauntlet -mode coordinator -listen
 // ADDR, -fleet N to fork a local fleet) completes leases
 // first-result-wins but releases them only behind a contiguous-prefix
-// watermark, re-deduplicating findings by their stable fingerprints and
-// refolding each lease's corpus delta (corpus.ApplyDelta) in canonical
-// order. The consequence, race-tested and smoke-tested at the real
-// process boundary: finding set, witness bytes, report order and merged
-// corpus are byte-identical to a single process at any worker count.
-// The protocol is a minimal length-prefixed JSON stream (stdlib only);
-// workers receive all campaign configuration over the wire. Worker loss
-// — connection drop, hang past the lease timeout, kill -9 — returns the
-// lease to pending for re-issue; the coordinator owns the single
-// persist journal/checkpoint, and -resume restores watermark, corpus
-// and journal-seeded dedup so even a coordinator kill -9 re-reports
-// nothing. faultinject.LinkPlan extends deterministic fault injection
+// watermark, re-deduplicating findings by their stable fingerprints in
+// canonical order. A lease result is its lease ID, its findings and its
+// counters: no lease reads a corpus, so each lease engine's corpus dies
+// with it and the coordinator keeps none. The consequence, race-tested
+// and smoke-tested at the real process boundary: finding set, witness
+// bytes and report order are byte-identical to a single process at any
+// worker count. The protocol is a minimal length-prefixed JSON stream
+// (stdlib only); workers receive all campaign configuration over the
+// wire. Worker loss — connection drop, hang past the lease timeout,
+// kill -9 — returns the lease to pending for re-issue; the coordinator
+// owns the single persist journal/checkpoint, and -resume restores the
+// watermark, the totals and journal-seeded dedup so even a coordinator
+// kill -9 re-reports nothing. faultinject.LinkPlan extends deterministic fault injection
 // to the fleet link (pure (seed, lease) → drop/delay/sever), driving
 // the chaos tests and the fleet_smoke.sh CI job.
 //

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/faultinject"
 	"gauntlet/internal/fleet"
 	"gauntlet/internal/obs"
@@ -24,20 +23,26 @@ type tally struct {
 	Crashes, InvalidTransforms, Miscompilations, Mismatches uint64
 }
 
-// observable renders what a finished campaign shows the outside, the
-// output the invariance contract covers:
-//   - every finding in report order, with every field except wall-clock
-//     provenance and the witness as an FNV-1a hash of its bytes. Detail
-//     drops its counterexample values, which depend on the concolic tier:
-//     the query tier that answered picks a miscompilation's
-//     distinguishing assignment, and test-generation steering picks the
-//     failing test case a mismatch's whole Detail describes. Provenance
-//     keeps Slot, Origin, Mutations and ReduceSerialCalls; its stage
-//     timings, speculative probe counts and query tiers depend on timing,
-//     reduction width and cache state;
-//   - the final corpus fingerprints and corpus.Stats;
-//   - the schedule's tally.
-func observable(fs []core.Finding, crp *corpus.Corpus, n tally) string {
+// observed is what a finished campaign shows the outside, the output the
+// invariance contract covers, in two renderings. A fleet keeps no corpus,
+// so its rows compare the stream alone.
+type observed struct {
+	// stream is every finding in report order, with every field except
+	// wall-clock provenance and the witness as an FNV-1a hash of its
+	// bytes, then the schedule's tally. Detail drops its counterexample
+	// values, which depend on the concolic tier: the query tier that
+	// answered picks a miscompilation's distinguishing assignment, and
+	// test-generation steering picks the failing test case a mismatch's
+	// whole Detail describes. Provenance keeps Slot, Origin, Mutations and
+	// ReduceSerialCalls; its stage timings, speculative probe counts and
+	// query tiers depend on timing, reduction width and cache state.
+	stream string
+	// corpus is the final corpus fingerprints and corpus.Stats.
+	corpus string
+}
+
+// stream renders fs and n as observed.stream.
+func stream(fs []core.Finding, n tally) string {
 	var b strings.Builder
 	for _, f := range fs {
 		detail, _, _ := strings.Cut(f.Detail, " (counterexample ")
@@ -54,7 +59,7 @@ func observable(fs []core.Finding, crp *corpus.Corpus, n tally) string {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "corpus %x\ncorpus stats %+v\ntally %+v\n", crp.Fingerprints(), crp.Stats(), n)
+	fmt.Fprintf(&b, "tally %+v\n", n)
 	return b.String()
 }
 
@@ -183,8 +188,8 @@ func (c *campaign) engineConfig(t *testing.T, r row) core.EngineConfig {
 }
 
 // runEngine runs row r of c on one engine, checks the Stats accounting
-// identities, and returns the findings, the Stats and the observable.
-func runEngine(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, string) {
+// identities, and returns the findings, the Stats and what the run shows.
+func runEngine(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, observed) {
 	t.Helper()
 	cfg := c.engineConfig(t, r)
 	var mu sync.Mutex
@@ -203,8 +208,12 @@ func runEngine(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, st
 	fs := e.Run(context.Background())
 	s := e.Stats()
 	identities(t, s, cfg.Seeds, quarantined, streamed, len(fs))
-	return fs, s, observable(fs, e.Corpus(), tally{s.Generated, s.Mutated,
-		s.Crashes, s.InvalidTransforms, s.Miscompilations, s.Mismatches})
+	crp := e.Corpus()
+	return fs, s, observed{
+		stream: stream(fs, tally{s.Generated, s.Mutated,
+			s.Crashes, s.InvalidTransforms, s.Miscompilations, s.Mismatches}),
+		corpus: fmt.Sprintf("corpus %x\ncorpus stats %+v\n", crp.Fingerprints(), crp.Stats()),
+	}
 }
 
 // identities checks the documented Stats accounting identities of a
@@ -232,9 +241,9 @@ func identities(t *testing.T, s core.Stats, slots int64, q map[string]uint64, st
 
 // runFleet runs row r of c through a coordinator and r.fleet in-process
 // workers, checks the fleet's accounting, and returns the findings and
-// the observable. A fleet has no engine Stats, so its rows are never a
+// the stream. A fleet has no engine Stats, so its rows are never a
 // reference.
-func runFleet(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, string) {
+func runFleet(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, observed) {
 	t.Helper()
 	cc := fleet.CoordinatorConfig{Run: c.runConfig(r), Seeds: c.slots, LeaseSlots: int64(c.run.SyncInterval)}
 	if r.obs {
@@ -259,9 +268,9 @@ func runFleet(t *testing.T, c *campaign, r row) ([]core.Finding, core.Stats, str
 		t.Errorf("fleet accounting: %d of %d slots generated, %d of %d leases released, %d findings counted, %d streamed, %d returned",
 			n.Generated, c.slots, st.LeasesReleased, st.LeasesTotal, st.Findings, streamed, len(fs))
 	}
-	return fs, core.Stats{}, observable(fs, coord.Corpus(), tally{Generated: n.Generated,
+	return fs, core.Stats{}, observed{stream: stream(fs, tally{Generated: n.Generated,
 		Crashes: n.Crashes, InvalidTransforms: n.InvalidTransforms,
-		Miscompilations: n.Miscompilations, Mismatches: n.Mismatches})
+		Miscompilations: n.Miscompilations, Mismatches: n.Mismatches})}
 }
 
 // live fails unless c's reference run reached every stage its rows
@@ -320,10 +329,11 @@ func (c *campaign) live(t *testing.T, fs []core.Finding, s core.Stats) {
 // TestInvarianceMatrix is the invariance contract as one check: nothing
 // about concurrency, placement or instrumentation shows in a campaign's
 // output. Each row runs a campaign under one combination of toggles, and
-// its observable must equal that of the campaign's first row, the
-// reference. The generation and mutation rows cover every pair of values
-// of workers (1/4), mutation (off/0.5), epoch rotation (off/8 programs),
-// the concolic tier (on/off), the metrics registry (off/on) and reduction
+// what it shows must equal what the campaign's first row, the reference,
+// shows: the finding stream and tally, and for an engine row the corpus.
+// The generation and mutation rows cover every pair of values of workers
+// (1/4), mutation (off/0.5), epoch rotation (off/8 programs), the
+// concolic tier (on/off), the metrics registry (off/on) and reduction
 // width (1/4) in six runs; the fleet rows run the generation campaign
 // through fleet.RunLocal with one and two workers. The capped, black-box
 // TNA and fault-plan campaigns keep their own references. Every engine
@@ -368,11 +378,11 @@ func TestInvarianceMatrix(t *testing.T) {
 }
 
 // check runs each row of c as a subtest, in order. The first row is the
-// reference and must be live; every later row's observable must equal
-// it.
+// reference and must be live; every later row's stream, and every later
+// engine row's corpus, must equal the reference's.
 func (c *campaign) check(t *testing.T, rows []row) {
 	t.Helper()
-	var ref string
+	var ref observed
 	for i, r := range rows {
 		ok := t.Run(r.name, func(t *testing.T) {
 			run := runEngine
@@ -380,11 +390,14 @@ func (c *campaign) check(t *testing.T, rows []row) {
 				run = runFleet
 			}
 			fs, s, got := run(t, c, r)
-			if i == 0 {
+			switch {
+			case i == 0:
 				c.live(t, fs, s)
 				ref = got
-			} else if got != ref {
-				t.Errorf("observable differs from the reference at %s\nreference:\n%s", firstDiff(ref, got), ref)
+			case got.stream != ref.stream:
+				t.Errorf("stream differs from the reference at %s\nreference:\n%s", firstDiff(ref.stream, got.stream), ref.stream)
+			case r.fleet == 0 && got.corpus != ref.corpus:
+				t.Errorf("corpus differs from the reference at %s", firstDiff(ref.corpus, got.corpus))
 			}
 		})
 		if !ok && i == 0 {
@@ -395,8 +408,8 @@ func (c *campaign) check(t *testing.T, rows []row) {
 
 // The matrix varies several toggles per row, so a failing row does not
 // say which toggle broke the contract. The four tests below each vary one
-// toggle alone against a reference of their own, over the same
-// observable.
+// toggle alone against a reference of their own, and compare the same
+// renderings.
 
 // TestEngineDeterminism: the engine's worker count alone does not show in
 // a generation campaign's output.

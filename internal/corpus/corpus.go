@@ -91,13 +91,6 @@ type Corpus struct {
 	astSeen  map[uint64]struct{}
 	nextID   int
 
-	// Delta export (fleet shards): when logDelta is set, every admission
-	// appends its durable form to deltaLog in admission order, so
-	// ExportDelta can ship the lease's contribution even after eviction
-	// has displaced some of the admitted seeds.
-	logDelta bool
-	deltaLog []DeltaSeed
-
 	admitted, rejected, evicted, bumps uint64
 }
 
@@ -181,13 +174,6 @@ func (c *Corpus) Add(prog *ast.Program, prof *coverage.Profile) bool {
 	}
 	c.nextID++
 	c.admitted++
-	if c.logDelta {
-		c.deltaLog = append(c.deltaLog, DeltaSeed{
-			Source: printer.Print(prog),
-			Edges:  prof.Edges(),
-			Stmts:  prof.Stmts(),
-		})
-	}
 	c.seeds = append(c.seeds, s)
 	c.byID[s.ID] = s
 	c.total += s.Energy

@@ -17,7 +17,7 @@ func TestFleetChaos(t *testing.T) {
 	run := testRun()
 	run.Reduce = false
 	const seeds, leaseSlots = 32, 8
-	want, _ := directRun(t, run, seeds)
+	want := directRun(t, run, seeds)
 	if len(want) == 0 {
 		t.Fatal("no findings: the seeded defects should fire within 32 seeds")
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/obs"
 	"gauntlet/internal/persist"
 )
@@ -38,17 +37,16 @@ type CoordinatorConfig struct {
 	// (after the journal write when State is set).
 	OnFinding func(core.Finding)
 	// State, when set, makes the coordinator the campaign's single
-	// persistence owner: findings journal write-ahead, atomic corpus +
-	// watermark checkpoints at lease-release boundaries.
+	// persistence owner: findings journal write-ahead, atomic watermark
+	// and totals checkpoints at lease-release boundaries. The checkpoints
+	// carry no corpus.
 	State *persist.State
 	// KnownFindings pre-seeds fleet-wide dedup (the resume path).
 	KnownFindings []uint64
 	// Resume, when set, is the checkpoint a restarted coordinator
-	// continues: leases wholly below its NextSlot are skipped, its corpus
-	// is the master corpus deltas fold into, and its totals are the base
-	// the lifetime totals of later checkpoints add to. Without it the
-	// master corpus starts empty, holding at most
-	// corpus.DefaultMaxSeeds seeds.
+	// continues: leases wholly below its NextSlot are skipped, and its
+	// totals are the base the lifetime totals of later checkpoints add
+	// to.
 	Resume *persist.Checkpoint
 	// Obs, when set, receives the fleet gauges and per-worker lease
 	// latency histograms.
@@ -76,9 +74,8 @@ type FleetStatus struct {
 // fleet-wide dedup and persistence. Safe for any number of concurrent
 // connection handlers.
 type Coordinator struct {
-	cfg    CoordinatorConfig
-	table  *leaseTable
-	corpus *corpus.Corpus
+	cfg   CoordinatorConfig
+	table *leaseTable
 
 	// releaseMu serializes the pop-and-process of releasable results so
 	// lease k's findings are always emitted before lease k+1's.
@@ -124,20 +121,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	c := &Coordinator{
-		cfg:    cfg,
-		corpus: corpus.New(0),
-		dedup:  make(map[uint64]struct{}, len(cfg.KnownFindings)),
-		done:   make(chan struct{}),
+		cfg:   cfg,
+		dedup: make(map[uint64]struct{}, len(cfg.KnownFindings)),
+		done:  make(chan struct{}),
 	}
 	var watermark int64
 	if cp := cfg.Resume; cp != nil {
 		watermark, c.base = cp.NextSlot, cp.Totals
-		if cp.Corpus != nil {
-			var err error
-			if c.corpus, err = corpus.FromSnapshot(cp.Corpus); err != nil {
-				return nil, fmt.Errorf("fleet: resume: %w", err)
-			}
-		}
 	}
 	c.table = newLeaseTable(cfg.StartSeed, cfg.Seeds, cfg.LeaseSlots, watermark)
 	for _, fp := range cfg.KnownFindings {
@@ -190,11 +180,8 @@ func (c *Coordinator) Findings() []core.Finding {
 	return append([]core.Finding(nil), c.findings...)
 }
 
-// Corpus returns the master corpus (complete once Done is closed).
-func (c *Coordinator) Corpus() *corpus.Corpus { return c.corpus }
-
-// Err returns the first release-path error (journal, checkpoint or delta
-// fold failure), if any.
+// Err returns the first release-path error (journal or checkpoint
+// failure), if any.
 func (c *Coordinator) Err() error {
 	c.releaseMu.Lock()
 	defer c.releaseMu.Unlock()
@@ -300,8 +287,10 @@ func (c *Coordinator) HandleConn(ctx context.Context, conn io.ReadWriteCloser) e
 			env.Hello.Worker, env.Hello.Proto, ProtoVersion)
 	}
 	// The holder key is per-connection, not per-name: two workers with
-	// the same name must not release each other's leases.
-	holder := fmt.Sprintf("%s#%d", env.Hello.Worker, c.connSeq.Add(1))
+	// the same name must not release each other's leases. Latency series
+	// are per name.
+	name := env.Hello.Worker
+	holder := fmt.Sprintf("%s#%d", name, c.connSeq.Add(1))
 	c.workers.Add(1)
 	defer c.workers.Add(-1)
 	defer func() {
@@ -336,14 +325,9 @@ func (c *Coordinator) HandleConn(ctx context.Context, conn io.ReadWriteCloser) e
 			if env.Result == nil {
 				return fmt.Errorf("fleet: result frame without payload")
 			}
-			if env.Result.Delta == nil {
-				// Every lease ships a delta, if only an empty one; a
-				// result without one would fold a hole into the corpus.
-				return fmt.Errorf("fleet: result frame for lease %d without corpus delta", env.Result.LeaseID)
-			}
 			accepted, latency := c.completeLease(env.Result)
 			if accepted {
-				c.leaseLatency(env.Result.Worker, latency)
+				c.leaseLatency(name, latency)
 			}
 			c.release()
 		default:
@@ -374,8 +358,8 @@ func (c *Coordinator) completeLease(res *Result) (bool, time.Duration) {
 
 // release processes the contiguous run of completed leases at the
 // watermark, in lease order: fleet-wide dedup by fingerprint (journal
-// write-ahead when persistence is on), finding emission, corpus delta
-// fold, and a checkpoint whose NextSlot is the new slot watermark. The
+// write-ahead when persistence is on), finding emission, the totals, and
+// a checkpoint whose NextSlot is the new slot watermark. The
 // pop and the processing happen under one mutex so concurrent connection
 // handlers cannot reorder lease k+1's findings before lease k's.
 func (c *Coordinator) release() {
@@ -401,9 +385,6 @@ func (c *Coordinator) release() {
 			if c.cfg.OnFinding != nil {
 				c.cfg.OnFinding(f)
 			}
-		}
-		if err := c.corpus.ApplyDelta(res.Delta); err != nil && c.relErr == nil {
-			c.relErr = fmt.Errorf("fleet: corpus delta: %w", err)
 		}
 		c.totals.Generated += res.Stats.Generated
 		c.totals.Crashes += res.Stats.Crashes
@@ -432,7 +413,6 @@ func (c *Coordinator) release() {
 		cp := &persist.Checkpoint{
 			NextSlot: c.watermarkSlot(),
 			Seed:     c.cfg.Run.Seed,
-			Corpus:   c.corpus.Snapshot(),
 			Totals:   totals,
 		}
 		if err := c.cfg.State.SaveCheckpoint(cp); err != nil && c.relErr == nil {

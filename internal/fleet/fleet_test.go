@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/obs"
 	"gauntlet/internal/smt"
 )
@@ -32,9 +31,9 @@ func testRun() RunConfig {
 // directRun is the single-process baseline: the same engine parameters
 // as one lease spanning the whole budget. It fails unless the oracle
 // found a miscompilation.
-func directRun(t *testing.T, run RunConfig, seeds int64) ([]core.Finding, *corpus.Corpus) {
+func directRun(t *testing.T, run RunConfig, seeds int64) []core.Finding {
 	t.Helper()
-	cfg, crp, err := engineConfigForLease(&run, Lease{ID: 0, Start: 0, Count: seeds})
+	cfg, err := engineConfigForLease(&run, Lease{ID: 0, Start: 0, Count: seeds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +42,7 @@ func directRun(t *testing.T, run RunConfig, seeds int64) ([]core.Finding, *corpu
 	if e.Stats().Miscompilations == 0 {
 		t.Fatal("no miscompilation: the oracle found nothing within the budget")
 	}
-	return fs, crp
+	return fs
 }
 
 // sameStream reports whether two finding streams carry the same

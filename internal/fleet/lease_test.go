@@ -1,12 +1,8 @@
 package fleet
 
 import (
-	"context"
-	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,61 +79,5 @@ func TestLeaseTableResume(t *testing.T) {
 	}
 	if got := leaseIDs(tab.releasable()); !reflect.DeepEqual(got, []int64{2, 3, 4}) {
 		t.Errorf("released %v after resume, want [2 3 4]", got)
-	}
-}
-
-// TestFleetRefusesResultWithoutDelta: a result frame whose corpus delta
-// is missing is refused at the connection — the connection drops and
-// its lease re-issues — so the merge never folds a hole. Accepting it
-// would release the lease with nothing folded for it: the master corpus
-// would silently diverge from the single-process one while the campaign
-// still reported done.
-func TestFleetRefusesResultWithoutDelta(t *testing.T) {
-	run := testRun()
-	run.Reduce = false
-	const seeds, leaseSlots = 24, 8
-	want, wantCorpus := directRun(t, run, seeds)
-	coord, err := NewCoordinator(CoordinatorConfig{Run: run, Seeds: seeds, LeaseSlots: leaseSlots})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A worker that takes lease 0 and answers with `"delta": null`.
-	ctx := context.Background()
-	coordEnd, workerEnd := net.Pipe()
-	handled := make(chan error, 1)
-	go func() { handled <- coord.HandleConn(ctx, coordEnd) }()
-	if err := writeMsg(workerEnd, &Envelope{Type: MsgHello, Hello: &Hello{Worker: "bad", Proto: ProtoVersion}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readMsg(workerEnd); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeMsg(workerEnd, &Envelope{Type: MsgNeed}); err != nil {
-		t.Fatal(err)
-	}
-	env, err := readMsg(workerEnd)
-	if err != nil || env.Lease == nil || env.Lease.ID != 0 {
-		t.Fatalf("bad worker got %+v (err %v), want lease 0", env, err)
-	}
-	if err := writeMsg(workerEnd, &Envelope{Type: MsgResult, Result: &Result{LeaseID: 0, Worker: "bad"}}); err != nil {
-		t.Fatal(err)
-	}
-	workerEnd.Close()
-	if err := <-handled; err == nil || !strings.Contains(err.Error(), "without corpus delta") {
-		t.Errorf("coordinator handled a delta-less result with %v, want a refusal", err)
-	}
-
-	if err := RunLocal(ctx, coord, localWorkers(2)); err != nil {
-		t.Fatal(err)
-	}
-	if !sameStream(want, coord.Findings()) {
-		t.Errorf("finding stream after the refusal differs from the single process: %x, want %x",
-			fingerprints(coord.Findings()), fingerprints(want))
-	}
-	corpusKey := func(fps []uint64, st any) string { return fmt.Sprint(fps, st) }
-	if got, want := corpusKey(coord.Corpus().Fingerprints(), coord.Corpus().Stats()),
-		corpusKey(wantCorpus.Fingerprints(), wantCorpus.Stats()); got != want {
-		t.Errorf("merged corpus diverges from the single process:\nwant %s\ngot  %s", want, got)
 	}
 }

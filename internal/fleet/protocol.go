@@ -31,6 +31,11 @@
 //     failing pass: the cap is per lease, so a fleet run reduces
 //     candidates a capped single process would have dropped.)
 //
+// A lease result carries only what the campaign outputs: its findings in
+// canonical order and its counters. Each lease engine keeps a corpus of
+// its own, which dies with it; no lease reads a corpus, so the
+// coordinator merges none.
+//
 // A worker keeps no solver state between leases: each lease runs a fresh
 // engine whose smt context and validation cache die with it, so a
 // worker's memory is bounded by one lease.
@@ -49,15 +54,17 @@ import (
 	"io"
 
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 )
 
 // ProtoVersion is bumped on any wire-incompatible change; the coordinator
-// refuses a worker whose hello disagrees.
-const ProtoVersion = 1
+// refuses a worker whose hello disagrees. Version 2 dropped the result's
+// corpus delta: a version-1 coordinator refuses a result without one and
+// would re-issue that lease forever, so a mixed fleet must fail at the
+// handshake instead.
+const ProtoVersion = 2
 
 // maxMsgBytes bounds one framed message (a result carries printed
-// witnesses and a corpus delta; 256 MiB is far above any real lease).
+// witnesses; 256 MiB is far above any real lease).
 const maxMsgBytes = 256 << 20
 
 // MsgType tags an Envelope.
@@ -76,8 +83,7 @@ const (
 	MsgNeed MsgType = "need"
 	// MsgLease grants a slot range.
 	MsgLease MsgType = "lease"
-	// MsgResult returns a completed lease's findings, corpus delta and
-	// stats.
+	// MsgResult returns a completed lease's findings and stats.
 	MsgResult MsgType = "result"
 	// MsgDrain tells the worker no further leases will be granted.
 	MsgDrain MsgType = "drain"
@@ -93,7 +99,8 @@ type Envelope struct {
 	Result *Result    `json:"result,omitempty"`
 }
 
-// Hello identifies a connecting worker.
+// Hello identifies a connecting worker. Worker names the per-worker
+// lease-latency series of every result the connection returns.
 type Hello struct {
 	Worker string `json:"worker"`
 	Proto  int    `json:"proto"`
@@ -132,7 +139,7 @@ type RunConfig struct {
 }
 
 // Lease is one contiguous slot range: the unit of work, re-issue and
-// corpus merge. ID is the lease's canonical index (Start == campaign
+// release. ID is the lease's canonical index (Start == campaign
 // start + ID × lease length for every lease but possibly the last).
 type Lease struct {
 	ID    int64 `json:"id"`
@@ -159,12 +166,10 @@ type ResultStats struct {
 }
 
 // Result carries one completed lease back: the lease engine's report
-// stream in its canonical order, the corpus delta, and the stats digest.
+// stream in its canonical order and the stats digest.
 type Result struct {
 	LeaseID  int64          `json:"lease_id"`
-	Worker   string         `json:"worker"`
 	Findings []core.Finding `json:"findings"`
-	Delta    *corpus.Delta  `json:"delta"`
 	Stats    ResultStats    `json:"stats"`
 }
 

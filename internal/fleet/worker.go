@@ -9,7 +9,6 @@ import (
 
 	"gauntlet/internal/bugs"
 	"gauntlet/internal/core"
-	"gauntlet/internal/corpus"
 	"gauntlet/internal/faultinject"
 	"gauntlet/internal/generator"
 )
@@ -69,30 +68,26 @@ func (run RunConfig) EngineConfig() (core.EngineConfig, error) {
 }
 
 // engineConfigForLease builds the lease-ranged engine configuration: the
-// existing engine, unchanged, over [lease.Start, lease.Start+lease.Count)
-// with a fresh delta-logging corpus. The engine brings its own context
-// and validation cache, one epoch that dies with it, so nothing a lease
-// builds outlives the lease. MutateRatio stays zero — fleet runs are
-// pure-generation, which is what makes a lease replayable without
-// cross-lease corpus state.
-func engineConfigForLease(run *RunConfig, lease Lease) (core.EngineConfig, *corpus.Corpus, error) {
+// existing engine, unchanged, over [lease.Start, lease.Start+lease.Count).
+// The engine brings its own corpus, context and validation cache, one
+// epoch that dies with it, so nothing a lease builds outlives the lease.
+// MutateRatio stays zero — fleet runs are pure-generation, which is what
+// makes a lease replayable without cross-lease corpus state.
+func engineConfigForLease(run *RunConfig, lease Lease) (core.EngineConfig, error) {
 	cfg, err := run.EngineConfig()
 	if err != nil {
-		return cfg, nil, fmt.Errorf("fleet: %w", err)
+		return cfg, fmt.Errorf("fleet: %w", err)
 	}
 	cfg.StartSeed = lease.Start
 	cfg.Seeds = lease.Count
-	c := corpus.New(0)
-	c.EnableDeltaLog()
-	cfg.Corpus = c
-	return cfg, c, nil
+	return cfg, nil
 }
 
 // runLease executes one lease with a fresh engine and packages the
-// result: the engine's report stream in its canonical order, the corpus
-// delta, and a stats digest.
-func runLease(ctx context.Context, run *RunConfig, lease Lease, name string) (*Result, error) {
-	cfg, crp, err := engineConfigForLease(run, lease)
+// result: the engine's report stream in its canonical order and a stats
+// digest.
+func runLease(ctx context.Context, run *RunConfig, lease Lease) (*Result, error) {
+	cfg, err := engineConfigForLease(run, lease)
 	if err != nil {
 		return nil, err
 	}
@@ -104,9 +99,7 @@ func runLease(ctx context.Context, run *RunConfig, lease Lease, name string) (*R
 	s := e.Stats()
 	return &Result{
 		LeaseID:  lease.ID,
-		Worker:   name,
 		Findings: findings,
-		Delta:    crp.ExportDelta(),
 		Stats: ResultStats{
 			Generated:         s.Generated,
 			Crashes:           s.Crashes,
@@ -170,7 +163,7 @@ func RunWorker(ctx context.Context, conn io.ReadWriteCloser, wcfg WorkerConfig) 
 			}
 			lease := *env.Lease
 			logf("fleet: %s running lease %d [%d, %d)", wcfg.Name, lease.ID, lease.Start, lease.Start+lease.Count)
-			res, err := runLease(ctx, run, lease, wcfg.Name)
+			res, err := runLease(ctx, run, lease)
 			if err != nil {
 				return err
 			}

@@ -50,9 +50,9 @@ func (g *gen) controlDecl(name, metaName string, rich bool) *ast.ControlDecl {
 
 	nFuncs, nActions, nTables := 0, 0, 0
 	if rich {
-		nFuncs = g.pick(g.cfg.MaxFuncs + 1)
-		nActions = 1 + g.pick(g.cfg.MaxActions)
-		nTables = g.pick(g.cfg.MaxTables + 1)
+		nFuncs = g.pick(maxFuncs + 1)
+		nActions = 1 + g.pick(maxActions)
+		nTables = g.pick(maxTables + 1)
 	} else {
 		nActions = g.pick(2)
 	}
@@ -133,7 +133,7 @@ func (g *gen) functionDecl(outer *scope) *ast.FunctionDecl {
 		}
 	}
 	body = append(pre, body...)
-	body = append(body, &ast.ReturnStmt{Value: g.bitExpr(sc, w, g.cfg.ExprDepth)})
+	body = append(body, &ast.ReturnStmt{Value: g.bitExpr(sc, w, exprDepth)})
 	f.Body = ast.Block(body...)
 	return f
 }
@@ -228,43 +228,41 @@ func (g *gen) stmts(sc *scope, budget int, ctx stmtCtx) []ast.Stmt {
 }
 
 func (g *gen) stmt(sc *scope, ctx stmtCtx, subBudget int) ast.Stmt {
-	w := g.cfg.Weights
-	total := w.Assign + w.If + w.Switch + w.ActionCall + w.FuncCall +
-		w.TableApply + w.VarDecl + w.Validity + w.Exit + w.Block
-	roll := g.pick(total)
-	pickKind := func(weight int) bool {
-		if roll < weight {
-			return true
-		}
-		roll -= weight
-		return false
+	total := 0
+	for _, w := range stmtWeights {
+		total += w
 	}
-	switch {
-	case pickKind(w.Assign):
+	kind, roll := 0, g.pick(total)
+	for roll >= stmtWeights[kind] {
+		roll -= stmtWeights[kind]
+		kind++
+	}
+	switch kind {
+	case stmtAssign:
 		return g.assignStmt(sc)
-	case pickKind(w.If):
+	case stmtIf:
 		return g.ifStmt(sc, ctx, subBudget)
-	case pickKind(w.Switch):
+	case stmtSwitch:
 		return g.switchStmt(sc, ctx, subBudget)
-	case pickKind(w.ActionCall):
+	case stmtActionCall:
 		if !ctx.allowCalls || ctx.inAction || ctx.inFunction {
 			return g.assignStmt(sc)
 		}
 		return g.actionCallStmt(sc)
-	case pickKind(w.FuncCall):
+	case stmtFuncCall:
 		if !ctx.allowCalls || ctx.inFunction {
 			return g.assignStmt(sc)
 		}
 		return g.funcCallStmt(sc)
-	case pickKind(w.TableApply):
+	case stmtTableApply:
 		if !ctx.allowApply || len(sc.tables) == 0 {
 			return g.assignStmt(sc)
 		}
 		t := sc.tables[g.pick(len(sc.tables))]
 		return &ast.CallStmt{Call: ast.Call(ast.Member(ast.N(t.Name), "apply"))}
-	case pickKind(w.VarDecl):
+	case stmtVarDecl:
 		return g.varDeclStmt(sc)
-	case pickKind(w.Validity):
+	case stmtValidity:
 		if len(sc.headerPaths) == 0 {
 			return g.assignStmt(sc)
 		}
@@ -274,7 +272,7 @@ func (g *gen) stmt(sc *scope, ctx stmtCtx, subBudget int) ast.Stmt {
 			method = "setInvalid"
 		}
 		return &ast.CallStmt{Call: ast.Call(ast.Member(ast.CloneExpr(h.expr), method))}
-	case pickKind(w.Exit):
+	case stmtExit:
 		if ctx.allowExit && !ctx.inFunction {
 			return &ast.ExitStmt{}
 		}
@@ -298,7 +296,7 @@ func (g *gen) assignStmt(sc *scope) ast.Stmt {
 	// Occasionally assign a bool variable.
 	if bools := sc.boolVars(true); len(bools) > 0 && g.chance(1, 6) {
 		v := bools[g.pick(len(bools))]
-		return ast.Assign(ast.CloneExpr(v.expr), g.boolExpr(sc, g.cfg.ExprDepth))
+		return ast.Assign(ast.CloneExpr(v.expr), g.boolExpr(sc, exprDepth))
 	}
 	bits := sc.bitVars(true)
 	if len(bits) == 0 {
@@ -315,7 +313,7 @@ func (g *gen) assignStmt(sc *scope) ast.Stmt {
 		lhs = &ast.SliceExpr{X: lhs, Hi: hi, Lo: lo}
 		w = hi - lo + 1
 	}
-	return ast.Assign(lhs, g.bitExpr(sc, w, g.cfg.ExprDepth))
+	return ast.Assign(lhs, g.bitExpr(sc, w, exprDepth))
 }
 
 func (g *gen) varDeclStmt(sc *scope) ast.Stmt {
@@ -324,14 +322,14 @@ func (g *gen) varDeclStmt(sc *scope) ast.Stmt {
 	// Mostly initialized; occasionally left undefined (the generator
 	// accommodates undefined behaviour on purpose, §4.1).
 	if g.chance(5, 6) {
-		d.Init = g.bitExpr(sc, w, g.cfg.ExprDepth)
+		d.Init = g.bitExpr(sc, w, exprDepth)
 	}
 	sc.vars = append(sc.vars, variable{expr: ast.N(d.Name), typ: d.Type, writable: true})
 	return d
 }
 
 func (g *gen) ifStmt(sc *scope, ctx stmtCtx, budget int) ast.Stmt {
-	cond := g.boolExpr(sc, g.cfg.ExprDepth)
+	cond := g.boolExpr(sc, exprDepth)
 	then := ast.Block(g.stmts(sc.clone(), maxInt(budget, 1), ctx)...)
 	var els ast.Stmt
 	if g.chance(1, 2) {

@@ -52,38 +52,6 @@ func ParseBackend(name string) (Backend, error) {
 	return V1Model, fmt.Errorf("unknown backend %q (want v1model or tna)", name)
 }
 
-// Weights steers the probability of generating each statement kind.
-// Values are relative; zero disables a construct.
-type Weights struct {
-	Assign     int
-	If         int
-	Switch     int
-	ActionCall int
-	FuncCall   int
-	TableApply int
-	VarDecl    int
-	Validity   int // setValid / setInvalid
-	Exit       int
-	Block      int
-}
-
-// DefaultWeights mirrors the distribution used for the paper's campaigns:
-// assignment-heavy with a steady diet of branching and side effects.
-func DefaultWeights() Weights {
-	return Weights{
-		Assign:     10,
-		If:         4,
-		Switch:     1,
-		ActionCall: 3,
-		FuncCall:   3,
-		TableApply: 3,
-		VarDecl:    4,
-		Validity:   2,
-		Exit:       1,
-		Block:      1,
-	}
-}
-
 // Config parameterizes one generated program. The zero value is not
 // useful; start from DefaultConfig.
 type Config struct {
@@ -92,33 +60,45 @@ type Config struct {
 	// MaxStmts bounds the statement count per block body ("the amount of
 	// randomly generated code in our tool is user-configurable", §4.1).
 	MaxStmts int
-	// ExprDepth bounds expression tree depth.
-	ExprDepth int
-	// MaxHeaders bounds the number of header types.
-	MaxHeaders int
-	// MaxActions and MaxTables bound control contents.
-	MaxActions int
-	MaxTables  int
-	// MaxFuncs bounds helper functions (inout params + returns — the
-	// Fig. 5a bug shape).
-	MaxFuncs int
-	Weights  Weights
 }
 
 // DefaultConfig returns the paper-scale configuration: small, targeted
 // programs that keep solver formulas cheap (§2.3).
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:       seed,
-		Backend:    V1Model,
-		MaxStmts:   8,
-		ExprDepth:  3,
-		MaxHeaders: 3,
-		MaxActions: 3,
-		MaxTables:  2,
-		MaxFuncs:   2,
-		Weights:    DefaultWeights(),
-	}
+	return Config{Seed: seed, Backend: V1Model, MaxStmts: 8}
+}
+
+// The paper-scale bounds on a program's shape.
+const (
+	exprDepth  = 3 // expression tree depth
+	maxHeaders = 3 // header types
+	maxActions = 3 // actions per control
+	maxTables  = 2 // tables per control
+	// maxFuncs bounds helper functions (inout params + returns — the
+	// Fig. 5a bug shape).
+	maxFuncs = 2
+)
+
+// The statement kinds stmt draws from, in draw order.
+const (
+	stmtAssign = iota
+	stmtIf
+	stmtSwitch
+	stmtActionCall
+	stmtFuncCall
+	stmtTableApply
+	stmtVarDecl
+	stmtValidity // setValid / setInvalid
+	stmtExit
+	stmtBlock
+)
+
+// stmtWeights steers the probability of generating each statement kind,
+// the distribution used for the paper's campaigns: assignment-heavy with
+// a steady diet of branching and side effects.
+var stmtWeights = [...]int{
+	stmtAssign: 10, stmtIf: 4, stmtSwitch: 1, stmtActionCall: 3, stmtFuncCall: 3,
+	stmtTableApply: 3, stmtVarDecl: 4, stmtValidity: 2, stmtExit: 1, stmtBlock: 1,
 }
 
 // widthChoices are the header field widths the generator draws from
@@ -206,7 +186,7 @@ func (g *gen) program() *ast.Program {
 	g.prog = &ast.Program{}
 
 	// Header types and the Headers struct.
-	nHeaders := 1 + g.pick(g.cfg.MaxHeaders)
+	nHeaders := 1 + g.pick(maxHeaders)
 	var hdrFields []ast.Field
 	for i := 0; i < nHeaders; i++ {
 		h := &ast.HeaderDecl{Name: fmt.Sprintf("Hdr%d", i+1)}

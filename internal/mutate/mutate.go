@@ -76,54 +76,17 @@ func Program(r *rand.Rand, base, donor *ast.Program, maxOps int) (*ast.Program, 
 // maps — so site indices are deterministic.
 
 // bodyLists enumerates every mutable statement list in executable bodies
-// (control apply blocks, actions, functions; nested blocks included).
-// Parser states are excluded: their statements are extract calls whose
-// order and multiplicity the stmt mutators should not disturb.
+// (control apply blocks, actions, functions; nested blocks included), in
+// ast.StmtLists order. Parser states are excluded: their statements are
+// extract calls whose order and multiplicity the stmt mutators should not
+// disturb.
 func bodyLists(prog *ast.Program) []*[]ast.Stmt {
 	var out []*[]ast.Stmt
-	var fromBlock func(b *ast.BlockStmt)
-	fromList := func(l *[]ast.Stmt) {
-		out = append(out, l)
-		for _, s := range *l {
-			switch s := s.(type) {
-			case *ast.IfStmt:
-				fromBlock(s.Then)
-				if els, ok := s.Else.(*ast.BlockStmt); ok {
-					fromBlock(els)
-				}
-			case *ast.BlockStmt:
-				fromBlock(s)
-			case *ast.SwitchStmt:
-				for i := range s.Cases {
-					fromBlock(s.Cases[i].Body)
-				}
-			}
+	ast.StmtLists(prog, func(l *[]ast.Stmt, inParser bool) {
+		if !inParser {
+			out = append(out, l)
 		}
-	}
-	fromBlock = func(b *ast.BlockStmt) {
-		if b == nil {
-			return
-		}
-		fromList(&b.Stmts)
-	}
-	for _, d := range prog.Decls {
-		switch d := d.(type) {
-		case *ast.ControlDecl:
-			for _, l := range d.Locals {
-				switch l := l.(type) {
-				case *ast.ActionDecl:
-					fromBlock(l.Body)
-				case *ast.FunctionDecl:
-					fromBlock(l.Body)
-				}
-			}
-			fromBlock(d.Apply)
-		case *ast.FunctionDecl:
-			fromBlock(d.Body)
-		case *ast.ActionDecl:
-			fromBlock(d.Body)
-		}
-	}
+	})
 	return out
 }
 

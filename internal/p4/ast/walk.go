@@ -84,6 +84,62 @@ func InspectStmt(s Stmt, fs func(Stmt) bool, fe func(Expr) bool) {
 	}
 }
 
+// StmtLists calls f for every statement list of prog, each before the
+// lists nested in its if, block and switch statements: control-local
+// action and function bodies, then the control's apply block, top-level
+// function and action bodies, and parser states, in declaration order.
+// inParser reports a list inside a parser state. The order is a pure
+// function of program structure, so the nth list of a clone is the nth
+// list of the original.
+func StmtLists(prog *Program, f func(list *[]Stmt, inParser bool)) {
+	var list func(l *[]Stmt, inParser bool)
+	block := func(b *BlockStmt, inParser bool) {
+		if b != nil {
+			list(&b.Stmts, inParser)
+		}
+	}
+	list = func(l *[]Stmt, inParser bool) {
+		f(l, inParser)
+		for _, s := range *l {
+			switch s := s.(type) {
+			case *IfStmt:
+				block(s.Then, inParser)
+				if els, ok := s.Else.(*BlockStmt); ok {
+					block(els, inParser)
+				}
+			case *BlockStmt:
+				block(s, inParser)
+			case *SwitchStmt:
+				for i := range s.Cases {
+					block(s.Cases[i].Body, inParser)
+				}
+			}
+		}
+	}
+	for _, d := range prog.Decls {
+		switch d := d.(type) {
+		case *ControlDecl:
+			for _, l := range d.Locals {
+				switch l := l.(type) {
+				case *ActionDecl:
+					block(l.Body, false)
+				case *FunctionDecl:
+					block(l.Body, false)
+				}
+			}
+			block(d.Apply, false)
+		case *FunctionDecl:
+			block(d.Body, false)
+		case *ActionDecl:
+			block(d.Body, false)
+		case *ParserDecl:
+			for i := range d.States {
+				list(&d.States[i].Stmts, true)
+			}
+		}
+	}
+}
+
 // RewriteExpr rebuilds an expression bottom-up, applying f to every node
 // after its children have been rewritten. f must return a non-nil
 // replacement (possibly the node itself). The input is not mutated if f

@@ -23,7 +23,8 @@ type Checkpoint struct {
 	// MutateRatio sanity-checks the schedule the same way Seed does.
 	MutateRatio float64 `json:"mutate_ratio"`
 	// Corpus is the complete feedback state (seeds, edge set, observed
-	// fingerprints, energies).
+	// fingerprints, energies); nil in a fleet coordinator's checkpoints,
+	// since a fleet keeps no corpus.
 	Corpus *corpus.Snapshot `json:"corpus"`
 	// Totals are the cross-incarnation cumulative counters.
 	Totals Totals `json:"totals"`

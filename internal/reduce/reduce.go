@@ -352,57 +352,11 @@ func (ex *executor) firstSuccess(base *ast.Program, edits []edit) *ast.Program {
 
 // stmtLists enumerates every mutable statement list of the program:
 // control/action/function bodies (including nested blocks) and parser
-// states. The order is a pure function of program structure, so an index
-// into this slice addresses the same list in any clone.
+// states, in ast.StmtLists order, so an index into this slice addresses
+// the same list in any clone.
 func stmtLists(prog *ast.Program) []*[]ast.Stmt {
 	var out []*[]ast.Stmt
-	var fromBlock func(b *ast.BlockStmt)
-	fromList := func(l *[]ast.Stmt) {
-		out = append(out, l)
-		for _, s := range *l {
-			switch s := s.(type) {
-			case *ast.IfStmt:
-				fromBlock(s.Then)
-				if els, ok := s.Else.(*ast.BlockStmt); ok {
-					fromBlock(els)
-				}
-			case *ast.BlockStmt:
-				fromBlock(s)
-			case *ast.SwitchStmt:
-				for i := range s.Cases {
-					fromBlock(s.Cases[i].Body)
-				}
-			}
-		}
-	}
-	fromBlock = func(b *ast.BlockStmt) {
-		if b == nil {
-			return
-		}
-		fromList(&b.Stmts)
-	}
-	for _, d := range prog.Decls {
-		switch d := d.(type) {
-		case *ast.ControlDecl:
-			for _, l := range d.Locals {
-				switch l := l.(type) {
-				case *ast.ActionDecl:
-					fromBlock(l.Body)
-				case *ast.FunctionDecl:
-					fromBlock(l.Body)
-				}
-			}
-			fromBlock(d.Apply)
-		case *ast.FunctionDecl:
-			fromBlock(d.Body)
-		case *ast.ActionDecl:
-			fromBlock(d.Body)
-		case *ast.ParserDecl:
-			for i := range d.States {
-				fromList(&d.States[i].Stmts)
-			}
-		}
-	}
+	ast.StmtLists(prog, func(l *[]ast.Stmt, _ bool) { out = append(out, l) })
 	return out
 }
 

@@ -14,8 +14,9 @@
 #      SIGKILL the coordinator itself mid-campaign: no shutdown path
 #      runs, the journal and checkpoint are all that survive.
 #   3. Resume: a fresh coordinator (-resume, -fleet 2) restores the
-#      watermark, corpus and journal-seeded dedup and finishes the
-#      budget.
+#      watermark, the totals and journal-seeded dedup and finishes the
+#      budget. A lease result carries only findings and counters, so
+#      there is no corpus to restore.
 #   4. The combined journal's finding sequence must be identical to the
 #      single-process baseline's — same fingerprints, same canonical
 #      order, despite the sharding, the worker kill, the lease re-issue
